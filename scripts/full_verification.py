@@ -1,39 +1,14 @@
 #!/usr/bin/env python3
-"""Full-scale verification run: every family cross-checked at N=500,
-the brute-force oracle up to n=40, and the binary product identity for
-m <= 50 at N=200. Prints one line per check and exits non-zero on any FAIL.
+"""Full-scale verification run: `verify --limit 500` (every family across the
+three analytic routes, plus the binary product identity for m <= 50), then
+`verify --limit 40 --brute` (the brute-force oracle). Exits with the larger
+of the two exit codes.
 """
 
 import sys
 
-from v2partitions import FamilyId, verify_binary_identity, verify_family
-
-
-def show(report):
-    line = f"{report.status}  {report.subject():24s} order={report.order:<4d} " \
-           f"routes={','.join(report.routes_compared)}  {report.elapsed_ms:.1f}ms"
-    if report.first_mismatch is not None:
-        n, values = report.first_mismatch
-        line += f"  first mismatch at n={n}: {values}"
-    print(line)
-    return report.passed
-
-
-def main():
-    ok = True
-    for family in FamilyId:
-        ok &= show(verify_family(family, 500))
-    for family in FamilyId:
-        ok &= show(verify_family(family, 40, include_brute=True))
-    binary = [verify_binary_identity(m, 200) for m in range(1, 51)]
-    for report in binary:
-        if not report.passed:
-            ok &= show(report)
-    if all(r.passed for r in binary):
-        print("PASS  binary-identity m<=50           order=200")
-    print("all checks passed" if ok else "FAILURES above", file=sys.stderr)
-    return 0 if ok else 1
-
+from v2partitions.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(max(main(["verify", "--limit", "500"]),
+                 main(["verify", "--limit", "40", "--brute"])))

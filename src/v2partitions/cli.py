@@ -122,7 +122,11 @@ def cmd_verify(args) -> int:
         return 2
     all_pass = True
     for family in families:
-        report = verify_family(family, args.limit, include_brute=args.brute)
+        try:
+            report = verify_family(family, args.limit, include_brute=args.brute)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         _print_report(report, args.format, args.stable)
         all_pass &= report.passed
     for m in range(1, BINARY_IDENTITY_SWEEP + 1):

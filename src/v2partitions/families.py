@@ -123,13 +123,12 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
         if cap == 0:
             continue
         weights = [comb(cap, t) for t in range(cap + 1)]
-        new = [0] * (order + 1)
-        for m in range(order + 1):
-            acc = 0
-            for t in range(min(cap, m // k) + 1):
+        # Descending m: every dp[m - k*t] read is still the value before part k.
+        for m in range(order, k - 1, -1):
+            acc = dp[m]
+            for t in range(1, min(cap, m // k) + 1):
                 acc += weights[t] * dp[m - k * t]
-            new[m] = acc
-        dp = new
+            dp[m] = acc
     return dp
 
 

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .families import BRUTE_LIMIT, CappedPartition, Route, binomial_table, enumerate_capped, table
-from .series import TruncatedSeries, reciprocal
+from .series import product_power
 from .valuation import FamilyId, exponent
 
 
@@ -91,22 +91,13 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
         raise ValueError("order must be non-negative")
     start = time.perf_counter()
 
-    prod = [0] * (order + 1)
-    prod[0] = 1
-    e = m
-    while e <= order:
-        for k in range(order, e - 1, -1):
-            prod[k] += prod[k - e]
-        e *= 2
+    def e(n: int) -> int:
+        # one factor (1+q^n) exactly when n = m * 2^k
+        q, r = divmod(n, m)
+        return int(r == 0 and q & (q - 1) == 0)
 
-    geom = [0] * (order + 1)
-    geom[0] = 1
-    if m <= order:
-        one_minus_qm = [0] * (order + 1)
-        one_minus_qm[0] = 1
-        one_minus_qm[m] = -1
-        geom = list(reciprocal(TruncatedSeries(tuple(one_minus_qm)), order).coeffs)
-
+    prod = list(product_power(e, order).coeffs)
+    geom = [1 if k % m == 0 else 0 for k in range(order + 1)]
     mismatch = _compare_tables({"binary-product": prod, "geometric-reciprocal": geom})
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(

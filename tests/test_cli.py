@@ -1,8 +1,17 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from v2partitions.cli import main, parse_bfile
+from v2partitions.cli import FAMILY_TOKENS, main, parse_bfile
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -81,6 +90,11 @@ class TestVerify:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_negative_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--limit", "-1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_stable_json_output_is_deterministic(self, capsys):
         args = ["verify", "--families", "pod,pe", "--limit", "50",
@@ -179,3 +193,27 @@ class TestCompare:
         assert code == 0
         assert "100: SKIPPED" in out
         assert "1 compared, 0 mismatched, 1 skipped" in out
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["table", "verify"]), family=st.sampled_from(FAMILY_TOKENS),
+       limit=st.integers(-3, 40), brute=st.booleans())
+def test_limit_and_brute_exit_zero_or_two(command, family, limit, brute):
+    if command == "table":
+        argv = ["table", "--family", family, "--limit", str(limit)]
+        argv += ["--route", "brute"] if brute else []
+    else:
+        argv = ["verify", "--families", family, "--limit", str(limit)]
+        argv += ["--brute"] if brute else []
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == (2 if limit < 0 else 0)
+
+
+def test_full_verification_script_passes():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "full_verification.py")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout
+    assert proc.stdout.count("PASS") == 12  # 2 runs x (5 families + binary identity)

@@ -57,8 +57,13 @@ class TestMul:
 
 
 class TestReciprocal:
-    def test_geometric_series(self):
-        assert reciprocal(series(1, -1, 0, 0, 0, 0), 5) == series(1, 1, 1, 1, 1, 1)
+    @pytest.mark.parametrize("m", range(1, 51))
+    def test_geometric_series(self, m):
+        # 1/(1-q^m) = sum_j q^(jm)
+        N = 200
+        one_minus_qm = series(*(1 if k == 0 else -1 if k == m else 0 for k in range(N + 1)))
+        expected = series(*(1 if k % m == 0 else 0 for k in range(N + 1)))
+        assert reciprocal(one_minus_qm, N) == expected
 
     def test_reciprocal_of_one(self):
         assert reciprocal(one(7), 7) == one(7)

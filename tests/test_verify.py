@@ -1,6 +1,7 @@
 import pytest
 
 from v2partitions import FamilyId, binomial_sum, remark_trace, verify_binary_identity, verify_family
+from v2partitions import families, series, verify
 
 ALL_FAMILIES = list(FamilyId)
 
@@ -27,6 +28,14 @@ class TestVerifyFamily:
         with pytest.raises(ValueError):
             verify_family(FamilyId.PD, 61, include_brute=True)
 
+    def test_broken_exponent_rule_fails_at_first_changed_index(self, monkeypatch):
+        original = families.exponent
+        monkeypatch.setattr(families, "exponent",
+                            lambda family, n: original(family, n) + (n == 7))
+        report = verify_family(FamilyId.PD, 20)
+        assert report.status == "FAIL"
+        assert report.first_mismatch[0] == 7
+
     def test_reports_deterministic_modulo_elapsed(self):
         a = verify_family(FamilyId.POD, 60)
         b = verify_family(FamilyId.POD, 60)
@@ -51,6 +60,13 @@ class TestBinaryIdentity:
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
             verify_binary_identity(0, 10)
+
+    def test_dropped_product_factor_fails_at_its_exponent(self, monkeypatch):
+        monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
+            lambda n: 0 if n == 4 else e(n), order))
+        report = verify_binary_identity(1, 16)
+        assert report.status == "FAIL"
+        assert report.first_mismatch[0] == 4
 
     def test_subject_names_the_multiplier(self):
         assert verify_binary_identity(7, 10).subject() == "binary-identity m=7"
