@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .families import BRUTE_LIMIT, Route, table
+from .families import BRUTE_LIMIT, MAX_ORDER, Route, table
 from .valuation import FamilyId
 from .verify import remark_trace, verify_binary_identity, verify_family
 
@@ -22,7 +22,6 @@ FAMILY_TOKENS = [f.value for f in FamilyId]
 ROUTE_TOKENS = [r.value for r in Route]
 
 BINARY_IDENTITY_SWEEP = 50      # m <= 50 checked in every verify run
-COMPARE_LIMIT = 10_000          # analytic routes refuse indices beyond this
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,7 @@ def _emit_table(out, family: FamilyId, values: list[int], route: Route, fmt: str
 def cmd_table(args) -> int:
     family = FamilyId.from_token(args.family)
     route = Route.from_token(args.route)
-    try:
-        values = table(family, args.limit, route)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    values = table(family, args.limit, route)
     _emit_table(sys.stdout, family, values, route, args.format)
     return 0
 
@@ -90,7 +85,8 @@ def _report_dict(report, stable: bool) -> dict:
     }
     if report.first_mismatch is not None:
         n, values = report.first_mismatch
-        d["first_mismatch"] = {"n": n, "values": {k: str(v) for k, v in values.items()}}
+        d["first_mismatch"] = {"n": n, "values": {k: None if v is None else str(v)
+                                                  for k, v in values.items()}}
     return d
 
 
@@ -112,21 +108,11 @@ def cmd_verify(args) -> int:
     if args.families == "all":
         families = list(FamilyId)
     else:
-        try:
-            families = [FamilyId.from_token(tok) for tok in args.families.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.brute and args.limit > BRUTE_LIMIT:
-        print(f"error: --brute requires --limit <= {BRUTE_LIMIT}", file=sys.stderr)
-        return 2
+        # dict.fromkeys drops repeated tokens and keeps the first-named order
+        families = [FamilyId.from_token(tok) for tok in dict.fromkeys(args.families.split(","))]
     all_pass = True
     for family in families:
-        try:
-            report = verify_family(family, args.limit, include_brute=args.brute)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = verify_family(family, args.limit, include_brute=args.brute)
         _print_report(report, args.format, args.stable)
         all_pass &= report.passed
     for m in range(1, BINARY_IDENTITY_SWEEP + 1):
@@ -145,9 +131,6 @@ def cmd_verify(args) -> int:
 
 def cmd_remark(args) -> int:
     family = FamilyId.from_token(args.family)
-    if args.n < 1 or args.n > BRUTE_LIMIT:
-        print(f"error: --n must be between 1 and {BRUTE_LIMIT}", file=sys.stderr)
-        return 2
     trace = remark_trace(family, args.n)
     for partition, term in trace.lines:
         parts = "+".join(str(p) for p in partition.parts())
@@ -167,7 +150,7 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"error: {args.bfile}: {exc}", file=sys.stderr)
         return 2
-    limit = BRUTE_LIMIT if route is Route.BRUTE else COMPARE_LIMIT
+    limit = BRUTE_LIMIT if route is Route.BRUTE else MAX_ORDER
     comparable = [e for e in entries if e.index <= limit]
     skipped = [e for e in entries if e.index > limit]
     mismatches = 0
@@ -225,8 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a ValueError from it is a usage error (exit 2)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -18,10 +18,11 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
-from .series import PochhammerSpec, TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
+from .series import PochhammerSpec, TruncatedSeries, _shift_add, mul, pochhammer, product_power, reciprocal
 from .valuation import FamilyId, exponent
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
+MAX_ORDER = 10_000  # every route refuses tables beyond this order
 
 
 class Route(enum.Enum):
@@ -122,13 +123,9 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
         cap = exponent(family, k)
         if cap == 0:
             continue
-        weights = [comb(cap, t) for t in range(cap + 1)]
-        # Descending m: every dp[m - k*t] read is still the value before part k.
-        for m in range(order, k - 1, -1):
-            acc = dp[m]
-            for t in range(1, min(cap, m // k) + 1):
-                acc += weights[t] * dp[m - k * t]
-            dp[m] = acc
+        before = dp[:]
+        for t in range(1, min(cap, order // k) + 1):
+            _shift_add(dp, before, k * t, comb(cap, t))
     return dp
 
 
@@ -228,6 +225,8 @@ def table(family: FamilyId, order: int, route: Route) -> list[int]:
     """f(0..order) by the requested route."""
     if order < 0:
         raise ValueError("order must be non-negative")
+    if order > MAX_ORDER:
+        raise ValueError(f"order is limited to <= {MAX_ORDER}")
     if route is Route.GF:
         return list(gf_series(family, order).coeffs)
     if route is Route.PRODUCT:

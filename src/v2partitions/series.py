@@ -9,7 +9,8 @@ compared at silently different orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import add, sub
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,10 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Cauchy product truncated at `order` (schoolbook convolution)."""
     if a.order < order or b.order < order:
         raise ValueError("both factors must carry coefficients up to the requested order")
-    ac, bc = a.coeffs, b.coeffs
     out = [0] * (order + 1)
-    for i in range(order + 1):
-        ai = ac[i]
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += ai * bc[j]
+    for i, ai in enumerate(a.coeffs[:order + 1]):
+        if ai:
+            _shift_add(out, b.coeffs, i, ai)
     return TruncatedSeries(tuple(out))
 
 
@@ -86,10 +83,22 @@ def reciprocal(a: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(r))
 
 
-def _mul_binomial_inplace(c: list[int], m: int, sign: int) -> None:
-    # Multiply the coefficient list by (1 - sign*q^m) in place.
-    for k in range(len(c) - 1, m - 1, -1):
-        c[k] -= sign * c[k - m]
+def _shift_add(dst: list[int], src: Sequence[int], s: int, w: int) -> None:
+    """dst[k] += w*src[k-s] for s <= k < len(dst), in place.
+
+    The needed prefix of `src` is copied before `dst` is written, so `src`
+    may be `dst` itself: multiplying c by (1 + w*q^s) is _shift_add(c, c, s, w).
+    """
+    n = len(dst) - s
+    if n <= 0:
+        return
+    tail = src[:n]
+    if w == 1:
+        dst[s:] = map(add, dst[s:], tail)
+    elif w == -1:
+        dst[s:] = map(sub, dst[s:], tail)
+    else:
+        dst[s:] = map(add, dst[s:], map(w.__mul__, tail))
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
@@ -104,7 +113,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     c[0] = 1
     m = spec.offset
     while m <= order:
-        _mul_binomial_inplace(c, m, spec.sign)
+        _shift_add(c, c, m, -spec.sign)
         m += spec.step
     return TruncatedSeries(tuple(c))
 
@@ -112,7 +121,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
 def product_power(e: Callable[[int], int], order: int) -> TruncatedSeries:
     """Expand prod_{n=1..order} (1+q^n)^e(n) mod q^(order+1).
 
-    Each (1+q^n) factor is a shift-and-add pass, applied e(n) times.
+    Each (1+q^n) factor is one shift-add pass, applied e(n) times.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -120,5 +129,5 @@ def product_power(e: Callable[[int], int], order: int) -> TruncatedSeries:
     c[0] = 1
     for n in range(1, order + 1):
         for _ in range(e(n)):
-            _mul_binomial_inplace(c, n, -1)
+            _shift_add(c, c, n, 1)
     return TruncatedSeries(tuple(c))

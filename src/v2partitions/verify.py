@@ -20,7 +20,8 @@ class VerificationReport:
     """Outcome of one coefficient-by-coefficient comparison.
 
     `family` is None for the binary-identity check, where `identity_m`
-    carries the exponent multiplier instead. `elapsed_ms` is excluded from
+    carries the exponent multiplier instead. In `first_mismatch`, a route
+    whose table ends before n shows None. `elapsed_ms` is excluded from
     any equality used in tests.
     """
 
@@ -28,7 +29,7 @@ class VerificationReport:
     order: int
     routes_compared: tuple[str, ...]
     status: str  # "PASS" | "FAIL"
-    first_mismatch: tuple[int, dict[str, int]] | None
+    first_mismatch: tuple[int, dict[str, int | None]] | None
     elapsed_ms: float
     identity_m: int | None = None
 
@@ -52,11 +53,9 @@ class RemarkTrace:
     total: int
 
 
-def _compare_tables(tables: dict[str, list[int]]) -> tuple[int, dict[str, int]] | None:
-    names = list(tables)
-    length = len(tables[names[0]])
-    for n in range(length):
-        values = {name: tables[name][n] for name in names}
+def _compare_tables(tables: dict[str, list[int]]) -> tuple[int, dict[str, int | None]] | None:
+    for n in range(max(map(len, tables.values()))):
+        values = {name: t[n] if n < len(t) else None for name, t in tables.items()}
         if len(set(values.values())) > 1:
             return (n, values)
     return None

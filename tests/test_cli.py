@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2partitions.cli import FAMILY_TOKENS, main, parse_bfile
+from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, main, parse_bfile
+from v2partitions.families import BRUTE_LIMIT, MAX_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,6 +97,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--limit", "-1")
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    def test_repeated_family_verified_once_in_first_named_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "--families", "pe,pd,pe", "--limit", "5")
+        subjects = [line.split()[1] for line in out.splitlines()]
+        assert code == 0
+        assert subjects == ["pe", "pd", "binary-identity"]
 
     def test_stable_json_output_is_deterministic(self, capsys):
         args = ["verify", "--families", "pod,pe", "--limit", "50",
@@ -195,6 +203,13 @@ class TestCompare:
         assert "1 compared, 0 mismatched, 1 skipped" in out
 
 
+@pytest.mark.parametrize("argv", [["table", "--family", "pe"], ["verify"]])
+def test_limit_above_max_order_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--limit", str(MAX_ORDER + 1))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["table", "verify"]), family=st.sampled_from(FAMILY_TOKENS),
        limit=st.integers(-3, 40), brute=st.booleans())
@@ -208,6 +223,41 @@ def test_limit_and_brute_exit_zero_or_two(command, family, limit, brute):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code == (2 if limit < 0 else 0)
+
+
+# n in 31..60 is valid but slow (a tableau at n = 60 takes seconds), so the
+# valid side is sampled below it.
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILY_TOKENS),
+       n=st.integers(-3, 30) | st.integers(BRUTE_LIMIT + 1, 10**9))
+def test_remark_n_exit_zero_or_two(family, n):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["remark", "--family", family, "--n", str(n)])
+    assert code == (0 if 1 <= n <= BRUTE_LIMIT else 2)
+
+
+bfile_line = st.one_of(
+    st.tuples(st.integers(-2, 70), st.integers(-2, 3000)).map(lambda t: f"{t[0]} {t[1]}"),
+    st.sampled_from(["", "# comment", "1", "x 1", "1 2 3"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILY_TOKENS), route=st.sampled_from(ROUTE_TOKENS),
+       lines=st.lists(bfile_line, max_size=6), missing=st.booleans())
+def test_compare_exit_two_exactly_when_bfile_unusable(family, route, lines, missing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.txt")
+        if not missing:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("\n".join(lines) + "\n")
+        try:
+            parse_bfile(path)
+            unusable = False
+        except (OSError, ValueError):
+            unusable = True
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["compare", "--family", family, "--bfile", path, "--route", route])
+    assert code in ((2,) if unusable else (0, 1))
 
 
 def test_full_verification_script_passes():

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from v2partitions import FamilyId, binomial_sum, remark_trace, verify_binary_identity, verify_family
-from v2partitions import families, series, verify
+from v2partitions import cli, families, series, verify
 
 ALL_FAMILIES = list(FamilyId)
 
@@ -35,6 +37,42 @@ class TestVerifyFamily:
         report = verify_family(FamilyId.PD, 20)
         assert report.status == "FAIL"
         assert report.first_mismatch[0] == 7
+
+    @pytest.mark.parametrize("family,n,gf,product,binomial", [
+        (FamilyId.OVERPARTITION_ODD, 0, 0, 1, 1), (FamilyId.PED, 0, 0, 1, 1),
+        (FamilyId.PD, 1, 0, 0, 0), (FamilyId.POD, 0, 0, 1, 1), (FamilyId.PE, 2, 0, 0, 0),
+    ])
+    def test_off_by_one_kernel_shift_fails_against_brute(self, monkeypatch, family, n,
+                                                         gf, product, binomial):
+        # gf, product and binomial all run on the one shift-add kernel; for pd
+        # and pe the three broken routes still agree at n and brute alone differs.
+        original = series._shift_add
+        broken = lambda dst, src, s, w: original(dst, src, s + 1, w)
+        monkeypatch.setattr(series, "_shift_add", broken)
+        monkeypatch.setattr(families, "_shift_add", broken)
+        report = verify_family(family, 40, include_brute=True)
+        assert report.status == "FAIL"
+        assert report.first_mismatch == (
+            n, {"gf": gf, "product": product, "binomial": binomial, "brute": 1})
+
+    def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
+        # (-q^2; q^2) becomes (q^2; q^2): the q^2 coefficient of ped's gf flips.
+        spec = families.FAMILIES[FamilyId.PED]
+        monkeypatch.setitem(families.FAMILIES, FamilyId.PED,
+                            replace(spec, numerator=replace(spec.numerator, sign=1)))
+        report = verify_family(FamilyId.PED, 40)
+        assert report.status == "FAIL"
+        assert report.first_mismatch == (2, {"gf": 0, "product": 2, "binomial": 2})
+
+    def test_gf_table_one_term_short_fails_at_missing_index(self, monkeypatch):
+        original = families.gf_series
+        monkeypatch.setattr(families, "gf_series",
+                            lambda family, order: original(family, order - 1))
+        report = verify_family(FamilyId.PD, 20)
+        assert report.status == "FAIL"
+        assert report.first_mismatch == (20, {"gf": None, "product": 64, "binomial": 64})
+        assert cli._report_dict(report, stable=True)["first_mismatch"]["values"] == \
+            {"gf": None, "product": "64", "binomial": "64"}
 
     def test_reports_deterministic_modulo_elapsed(self):
         a = verify_family(FamilyId.POD, 60)
