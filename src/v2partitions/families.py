@@ -1,7 +1,7 @@
 """The five restricted partition families, each computable by four routes.
 
 Routes:
-  GF       — expand the family's q-Pochhammer generating function,
+  GF       — expand the family's generating function as an eta quotient,
   PRODUCT  — expand prod (1+q^n)^v(n) with the family's exponent rule,
   BINOMIAL — bounded-knapsack DP over the binomial-weighted capped partitions,
   BRUTE    — direct combinatorial enumeration from the family's definition.
@@ -13,12 +13,12 @@ performed by the `verify` module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
-from .series import PochhammerSpec, TruncatedSeries, _shift_add, mul, pochhammer, product_power, reciprocal
+from .series import PochhammerSpec, TruncatedSeries, _divide, _shift_add, mul, one, pochhammer, product_power
 from .valuation import FamilyId, exponent
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
@@ -41,36 +41,35 @@ class Route(enum.Enum):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Generating-function shape and combinatorial definition of one family."""
+    """Generating function and combinatorial definition of one family.
+
+    The generating function is the eta quotient prod_k f_k^eta[k], where
+    f_k = (q^k; q^k)_inf; e.g. ped = f4/f1 is {4: 1, 1: -1}.
+    """
 
     id: FamilyId
-    numerator: PochhammerSpec | None
-    denominator: PochhammerSpec
+    eta: dict[int, int] = field(hash=False)  # a dict is unhashable; id and definition still hash
     definition: str
 
 
-# (±q^a; q^b)_inf specs: sign=+1 means factors (1 - q^m), sign=-1 means (1 + q^m).
-_NEG_Q_QSQ = PochhammerSpec(sign=-1, offset=1, step=2)   # (-q;   q^2)
-_NEG_QSQ_QSQ = PochhammerSpec(sign=-1, offset=2, step=2)  # (-q^2; q^2)
-_Q_QSQ = PochhammerSpec(sign=1, offset=1, step=2)        # (q;    q^2)
-_QSQ_QSQ = PochhammerSpec(sign=1, offset=2, step=2)      # (q^2;  q^2)
-
+# Each family's q-Pochhammer fraction rewritten by Euler's identities, e.g.
+# (-q; q^2)_inf = f2^2/(f1 f4) and (q; q^2)_inf = f1/f2 (Hirschhorn, The Power of q).
 FAMILIES: dict[FamilyId, FamilySpec] = {
     FamilyId.OVERPARTITION_ODD: FamilySpec(
-        FamilyId.OVERPARTITION_ODD, _NEG_Q_QSQ, _Q_QSQ,
+        FamilyId.OVERPARTITION_ODD, {2: 3, 1: -2, 4: -1},
         "overpartitions into odd parts (first occurrence of each part size may be overlined)"),
     FamilyId.PED: FamilySpec(
-        FamilyId.PED, _NEG_QSQ_QSQ, _Q_QSQ,
+        FamilyId.PED, {4: 1, 1: -1},
         "partitions with distinct even parts; odd parts may repeat"),
     FamilyId.PD: FamilySpec(
-        FamilyId.PD, None, _Q_QSQ,
+        FamilyId.PD, {2: 1, 1: -1},
         "partitions into distinct parts (equinumerous with partitions into odd parts, "
         "which is what 1/(q;q^2) literally generates)"),
     FamilyId.POD: FamilySpec(
-        FamilyId.POD, _NEG_Q_QSQ, _QSQ_QSQ,
+        FamilyId.POD, {2: 1, 1: -1, 4: -1},
         "partitions with distinct odd parts; even parts may repeat"),
     FamilyId.PE: FamilySpec(
-        FamilyId.PE, None, _QSQ_QSQ,
+        FamilyId.PE, {2: -1},
         "partitions into even parts only"),
 }
 
@@ -96,12 +95,17 @@ class CappedPartition:
 
 
 def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
-    """Expand the family's generating function (Pochhammer fraction) to `order`."""
-    spec = FAMILIES[family]
-    inv_den = reciprocal(pochhammer(spec.denominator, order), order)
-    if spec.numerator is None:
-        return inv_den
-    return mul(pochhammer(spec.numerator, order), inv_den, order)
+    """Expand the family's eta quotient to `order`, positive exponents first.
+
+    Each f_k is the sparse pentagonal series, so every multiplication or
+    division by it costs O(order^1.5).
+    """
+    c = one(order)
+    for k, e in sorted(FAMILIES[family].eta.items(), key=lambda item: item[1] < 0):
+        f_k = pochhammer(PochhammerSpec(sign=1, offset=k, step=k), order)
+        for _ in range(abs(e)):
+            c = mul(f_k, c, order) if e > 0 else _divide(c, f_k, order)
+    return c
 
 
 def product_series(family: FamilyId, order: int) -> TruncatedSeries:

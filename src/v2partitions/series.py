@@ -9,6 +9,7 @@ compared at silently different orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, sub
 from typing import Callable, Sequence
 
@@ -68,31 +69,41 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
 
 
 def reciprocal(a: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Multiplicative inverse mod q^(order+1); requires constant term 1.
+    """Multiplicative inverse mod q^(order+1); requires constant term 1."""
+    return _divide(one(order), a, order)
 
-    Standard recurrence: r_0 = 1, r_k = -sum_{i=1..k} a_i r_{k-i}.
+
+def _divide(c: TruncatedSeries, a: TruncatedSeries, order: int) -> TruncatedSeries:
+    """c/a mod q^(order+1); requires constant term 1 in a.
+
+    Recurrence r_k = c_k - sum_{i=1..k} a_i r_{k-i}, visiting only the nonzero
+    a_i, so dividing by a sparse series costs O(nnz(a) * order).
     """
     if a.coeffs[0] != 1:
         raise ValueError("reciprocal requires constant term 1")
     if a.order < order:
         raise ValueError("input must carry coefficients up to the requested order")
-    r = [0] * (order + 1)
-    r[0] = 1
+    terms = [(i, ai) for i, ai in enumerate(a.coeffs[1:order + 1], start=1) if ai]
+    r = list(c.coeffs[:order + 1])
+    active = 0  # terms[:active] are the nonzero a_i with i <= k
     for k in range(1, order + 1):
-        r[k] = -sum(a.coeffs[i] * r[k - i] for i in range(1, k + 1))
+        if active < len(terms) and terms[active][0] == k:
+            active += 1
+        r[k] -= sum(ai * r[k - i] for i, ai in islice(terms, active))
     return TruncatedSeries(tuple(r))
 
 
 def _shift_add(dst: list[int], src: Sequence[int], s: int, w: int) -> None:
     """dst[k] += w*src[k-s] for s <= k < len(dst), in place.
 
-    The needed prefix of `src` is copied before `dst` is written, so `src`
-    may be `dst` itself: multiplying c by (1 + w*q^s) is _shift_add(c, c, s, w).
+    `src` may be `dst` itself: its needed prefix is then copied before `dst`
+    is written, so multiplying c by (1 + w*q^s) is _shift_add(c, c, s, w).
+    Otherwise `map` reads `src` directly and stops after len(dst) - s items.
     """
     n = len(dst) - s
     if n <= 0:
         return
-    tail = src[:n]
+    tail = src[:n] if src is dst else src
     if w == 1:
         dst[s:] = map(add, dst[s:], tail)
     elif w == -1:
@@ -104,13 +115,23 @@ def _shift_add(dst: list[int], src: Sequence[int], s: int, w: int) -> None:
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     """Expand prod_{s>=0} (1 - sign*q^(offset + s*step)) mod q^(order+1).
 
-    Only the finitely many factors with exponent <= order matter; all later
-    factors are 1 mod q^(order+1).
+    (q^k; q^k)_inf (sign 1, offset = step = k) is the pentagonal series
+    sum_j (-1)^j q^(k*j*(3j-1)/2) over all integers j, written directly.
+    Any other spec is expanded factor by factor; only the finitely many
+    factors with exponent <= order matter.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     c = [0] * (order + 1)
     c[0] = 1
+    if spec.sign == 1 and spec.offset == spec.step:
+        k, j = spec.step, 1
+        while k * j * (3 * j - 1) // 2 <= order:
+            for e in (k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2):
+                if e <= order:
+                    c[e] = -1 if j % 2 else 1
+            j += 1
+        return TruncatedSeries(tuple(c))
     m = spec.offset
     while m <= order:
         _shift_add(c, c, m, -spec.sign)

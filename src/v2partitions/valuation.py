@@ -71,23 +71,29 @@ def v2(n: int) -> Valuation:
     return Valuation.finite((n & -n).bit_length() - 1)
 
 
+# exponent() runs once per n on the product and binomial routes; comparing
+# with module-level names skips an enum attribute lookup (~0.2 us) per test.
+_OVERPARTITION_ODD, _PED, _PD, _POD, _PE = (
+    FamilyId.OVERPARTITION_ODD, FamilyId.PED, FamilyId.PD, FamilyId.POD, FamilyId.PE)
+
+
 def exponent(family: FamilyId, n: int) -> int:
     """Exponent v(n) of (1+q^n) in the product representation of `family`.
 
     v2(4n-2) is computed honestly (not hard-coded to its simplified value 1)
-    so tests can confirm the simplification independently.
+    so tests can confirm the simplification independently. The valuations
+    use v2's bit trick inline, so no Valuation is allocated per call.
     """
     if n < 1:
         raise ValueError("exponent rules are defined for n >= 1 only")
     odd = n % 2 == 1
-    if family is FamilyId.OVERPARTITION_ODD:
-        return v2(4 * n - 2).exponent + (1 if odd else 0)
-    if family is FamilyId.PED:
-        return v2(4 * n - 2).exponent + (0 if odd else 1)
-    if family is FamilyId.PD:
-        return v2(4 * n - 2).exponent
-    if family is FamilyId.POD:
-        return v2(4 * n - 2).exponent if odd else v2(n).exponent
-    if family is FamilyId.PE:
-        return v2(n).exponent
+    # pe, and pod at even n, take v2(n); every other rule takes v2(4n-2)
+    m = n if family is _PE or (family is _POD and not odd) else 4 * n - 2
+    v = (m & -m).bit_length() - 1
+    if family is _OVERPARTITION_ODD:
+        return v + (1 if odd else 0)
+    if family is _PED:
+        return v + (0 if odd else 1)
+    if family is _PD or family is _POD or family is _PE:
+        return v
     raise AssertionError(f"unhandled family {family}")

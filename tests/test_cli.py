@@ -267,3 +267,15 @@ def test_full_verification_script_passes():
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
     assert proc.stdout.count("PASS") == 12  # 2 runs x (5 families + binary identity)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = lambda limit: subprocess.run(
+        [sys.executable, "-m", "v2partitions", "table", "--family", "pe", "--limit", limit],
+        env=env, capture_output=True, text=True)
+    ok, refused = run("8"), run("-1")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[-1] == "pe,8,5,gf"
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("error:") and refused.stdout == ""

@@ -1,6 +1,7 @@
 import pytest
 
 from v2partitions import (
+    FAMILIES,
     FamilyId,
     PochhammerSpec,
     Route,
@@ -9,6 +10,7 @@ from v2partitions import (
     enumerate_capped,
     exponent,
     gf_series,
+    mul,
     pochhammer,
     product_series,
     reciprocal,
@@ -18,6 +20,17 @@ from v2partitions import (
 import oracles
 
 ALL_FAMILIES = list(FamilyId)
+
+# Each family's generating function as the q-Pochhammer fraction
+# numerator/denominator it was first written as; specs are (sign, offset,
+# step) and None is 1.
+POCHHAMMER_FRACTIONS = {
+    FamilyId.OVERPARTITION_ODD: (PochhammerSpec(-1, 1, 2), PochhammerSpec(1, 1, 2)),
+    FamilyId.PED: (PochhammerSpec(-1, 2, 2), PochhammerSpec(1, 1, 2)),
+    FamilyId.PD: (None, PochhammerSpec(1, 1, 2)),
+    FamilyId.POD: (PochhammerSpec(-1, 1, 2), PochhammerSpec(1, 2, 2)),
+    FamilyId.PE: (None, PochhammerSpec(1, 2, 2)),
+}
 
 
 class TestGfSeries:
@@ -35,6 +48,20 @@ class TestGfSeries:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_constant_term_is_one(self, family):
         assert gf_series(family, 0).coeffs == (1,)
+
+    def test_family_specs_stay_hashable(self):
+        assert len({FAMILIES[family] for family in ALL_FAMILIES}) == len(ALL_FAMILIES)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_eta_quotient_equals_pochhammer_fraction(self, family):
+        # (-q;q^2), (-q^2;q^2), (q;q^2) and (q^2;q^2) have offset != step, so
+        # pochhammer expands them factor by factor, not as pentagonal series.
+        N = 500
+        numerator, denominator = POCHHAMMER_FRACTIONS[family]
+        dense = reciprocal(pochhammer(denominator, N), N)
+        if numerator is not None:
+            dense = mul(pochhammer(numerator, N), dense, N)
+        assert gf_series(family, N) == dense
 
 
 class TestProductSeries:
@@ -154,6 +181,14 @@ class TestRouteEquivalence:
     def test_overpartition_values_even_from_one(self):
         coeffs = gf_series(FamilyId.OVERPARTITION_ODD, 100).coeffs
         assert all(c % 2 == 0 for c in coeffs[1:])
+
+    @pytest.mark.parametrize("route", [Route.GF, Route.PRODUCT, Route.BINOMIAL])
+    def test_ped_congruences_mod_4_and_12(self, route):
+        # ped(9n+4) = 0 mod 4 and ped(9n+7) = 0 mod 12 (Andrews, Hirschhorn and
+        # Sellers, Ramanujan J. 2010): a check at large n that no route computes.
+        ped = table(FamilyId.PED, 1000, route)
+        assert all(ped[n] % 4 == 0 for n in range(4, 1001, 9))
+        assert all(ped[n] % 12 == 0 for n in range(7, 1001, 9))
 
     def test_even_family_shadows_unrestricted_partitions(self):
         # p_e(2n) = p(n), p_e(odd) = 0

@@ -99,6 +99,14 @@ class TestPochhammer:
         got = pochhammer(PochhammerSpec(sign=1, offset=1, step=1), 7)
         assert list(got.coeffs) == expected == [1, -1, -1, 0, 0, 1, 0, 1]
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_pentagonal_series_matches_factor_expansion(self, k):
+        # (q^k;q^k) is written from the pentagonal number theorem, not expanded
+        N = 300
+        factors = [{0: 1, k * m: -1} for m in range(1, N // k + 1)]
+        got = pochhammer(PochhammerSpec(sign=1, offset=k, step=k), N)
+        assert list(got.coeffs) == product_expand(factors, N)
+
     def test_empty_effective_product(self):
         assert pochhammer(PochhammerSpec(sign=1, offset=9, step=2), 4) == one(4)
 

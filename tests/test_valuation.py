@@ -72,3 +72,15 @@ class TestExponentRules:
             base = exponent(FamilyId.PD, n)
             assert exponent(FamilyId.OVERPARTITION_ODD, n) == base + (n % 2)
             assert exponent(FamilyId.PED, n) == base + (1 - n % 2)
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_matches_rules_built_from_v2(self, family):
+        # the rules as the paper states them, through the public Valuation form
+        rule = {
+            FamilyId.OVERPARTITION_ODD: lambda n: v2(4 * n - 2).exponent + n % 2,
+            FamilyId.PED: lambda n: v2(4 * n - 2).exponent + 1 - n % 2,
+            FamilyId.PD: lambda n: v2(4 * n - 2).exponent,
+            FamilyId.POD: lambda n: v2(4 * n - 2 if n % 2 else n).exponent,
+            FamilyId.PE: lambda n: v2(n).exponent,
+        }[family]
+        assert all(exponent(family, n) == rule(n) for n in range(1, 10**4 + 1))

@@ -40,12 +40,13 @@ class TestVerifyFamily:
 
     @pytest.mark.parametrize("family,n,gf,product,binomial", [
         (FamilyId.OVERPARTITION_ODD, 0, 0, 1, 1), (FamilyId.PED, 0, 0, 1, 1),
-        (FamilyId.PD, 1, 0, 0, 0), (FamilyId.POD, 0, 0, 1, 1), (FamilyId.PE, 2, 0, 0, 0),
+        (FamilyId.PD, 0, 0, 1, 1), (FamilyId.POD, 0, 0, 1, 1), (FamilyId.PE, 2, 1, 0, 0),
     ])
     def test_off_by_one_kernel_shift_fails_against_brute(self, monkeypatch, family, n,
                                                          gf, product, binomial):
-        # gf, product and binomial all run on the one shift-add kernel; for pd
-        # and pe the three broken routes still agree at n and brute alone differs.
+        # product, binomial and gf's multiply-by-f_k run on the one shift-add
+        # kernel. pe's gf (1/f2) touches no kernel, so there gf and brute agree
+        # at n and the two broken routes differ from both.
         original = series._shift_add
         broken = lambda dst, src, s, w: original(dst, src, s + 1, w)
         monkeypatch.setattr(series, "_shift_add", broken)
@@ -56,10 +57,10 @@ class TestVerifyFamily:
             n, {"gf": gf, "product": product, "binomial": binomial, "brute": 1})
 
     def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
-        # (-q^2; q^2) becomes (q^2; q^2): the q^2 coefficient of ped's gf flips.
+        # f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
+        # the q^2 coefficient of ped's gf flips.
         spec = families.FAMILIES[FamilyId.PED]
-        monkeypatch.setitem(families.FAMILIES, FamilyId.PED,
-                            replace(spec, numerator=replace(spec.numerator, sign=1)))
+        monkeypatch.setitem(families.FAMILIES, FamilyId.PED, replace(spec, eta={2: 2, 1: -1}))
         report = verify_family(FamilyId.PED, 40)
         assert report.status == "FAIL"
         assert report.first_mismatch == (2, {"gf": 0, "product": 2, "binomial": 2})
