@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable
 
 from .series import PochhammerSpec, TruncatedSeries, _divide, _shift_add, mul, one, pochhammer, product_power
 from .valuation import FamilyId, exponent
@@ -79,7 +78,7 @@ class CappedPartition:
     """A partition of n as a multiplicity vector with per-part caps.
 
     multiplicities[k-1] is the multiplicity of part k (length n); weight is
-    prod_k C(cap(k), multiplicities[k-1]), always >= 1 for emitted partitions.
+    prod_k C(caps[k], multiplicities[k-1]), always >= 1 for emitted partitions.
     """
 
     n: int
@@ -108,9 +107,14 @@ def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
     return c
 
 
+def exponents(family: FamilyId, order: int) -> list[int]:
+    """[0, v(1), ..., v(order)]: the family's exponent rule as one list per table."""
+    return [0] + [exponent(family, n) for n in range(1, order + 1)]
+
+
 def product_series(family: FamilyId, order: int) -> TruncatedSeries:
     """Expand prod_{n>=1} (1+q^n)^v(n) with the family's exponent rule."""
-    return product_power(lambda n: exponent(family, n), order)
+    return product_power(exponents(family, order), order)
 
 
 def binomial_table(family: FamilyId, order: int) -> list[int]:
@@ -123,8 +127,7 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
         raise ValueError("order must be non-negative")
     dp = [0] * (order + 1)
     dp[0] = 1
-    for k in range(1, order + 1):
-        cap = exponent(family, k)
+    for k, cap in enumerate(exponents(family, order)):
         if cap == 0:
             continue
         before = dp[:]
@@ -140,15 +143,14 @@ def binomial_sum(family: FamilyId, n: int) -> int:
     return binomial_table(family, n)[n]
 
 
-def enumerate_capped(n: int, cap: Callable[[int], int]) -> list[CappedPartition]:
-    """All partitions of n with multiplicity of part k at most cap(k).
+def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
+    """All partitions of n with multiplicity of part k at most caps[k].
 
     Emitted in lexicographically decreasing part order (largest part first),
-    each with its binomial weight prod_k C(cap(k), t_k).
+    each with its binomial weight prod_k C(caps[k], t_k).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    caps = [0] + [cap(k) for k in range(1, n + 1)]
     results: list[CappedPartition] = []
     mult = [0] * (n + 1)
 
@@ -170,12 +172,10 @@ def enumerate_capped(n: int, cap: Callable[[int], int]) -> list[CappedPartition]
     return results
 
 
-def _count_partitions(n: int, part_ok: Callable[[int], bool],
-                      max_mult: Callable[[int], int | None],
-                      size_factor: int = 1) -> int:
-    # Counts partitions of n into parts k with part_ok(k), multiplicity
-    # bounded by max_mult(k) (None = unbounded); each part size actually
-    # used contributes a multiplicative size_factor (2 for overlining).
+def _count_partitions(caps: list[int], size_factor: int = 1) -> list[int]:
+    # f(0..len(caps)-1): partitions with part k used at most caps[k] times;
+    # each part size actually used contributes a factor size_factor (2 for
+    # overlining). One memo serves every n.
     @lru_cache(maxsize=None)
     def rec(remaining: int, largest: int) -> int:
         if remaining == 0:
@@ -183,15 +183,35 @@ def _count_partitions(n: int, part_ok: Callable[[int], bool],
         if largest == 0:
             return 0
         total = rec(remaining, largest - 1)
-        if part_ok(largest):
-            cap = max_mult(largest)
-            t = 1
-            while t * largest <= remaining and (cap is None or t <= cap):
-                total += size_factor * rec(remaining - t * largest, largest - 1)
-                t += 1
+        t = 1
+        while t <= caps[largest] and t * largest <= remaining:
+            total += size_factor * rec(remaining - t * largest, largest - 1)
+            t += 1
         return total
 
-    return rec(n, n)
+    return [rec(n, n) for n in range(len(caps))]
+
+
+def _brute_table(family: FamilyId, order: int) -> list[int]:
+    # f(0..order) counted from the family's combinatorial definition: the caps
+    # on odd and even parts come from it, never from the exponent rule.
+    if order > BRUTE_LIMIT:
+        raise ValueError(f"brute route is limited to order <= {BRUTE_LIMIT}")
+    free = order  # no partition of n <= order repeats a part more often
+
+    def caps(odd: int, even: int) -> list[int]:
+        return [0] + [odd if k % 2 else even for k in range(1, order + 1)]
+
+    odd, even = {FamilyId.OVERPARTITION_ODD: (free, 0), FamilyId.PED: (free, 1),
+                 FamilyId.PD: (1, 1), FamilyId.POD: (1, free), FamilyId.PE: (0, free)}[family]
+    overlined = family is FamilyId.OVERPARTITION_ODD
+    counts = _count_partitions(caps(odd, even), size_factor=2 if overlined else 1)
+    if family is FamilyId.PD:  # also tallied as partitions into odd parts
+        for n, (d, o) in enumerate(zip(counts, _count_partitions(caps(free, 0)))):
+            if d != o:
+                raise AssertionError(f"distinct-parts and odd-parts tallies differ at n={n}: "
+                                     f"{d} vs {o}")
+    return counts
 
 
 def brute_force_count(family: FamilyId, n: int) -> int:
@@ -203,26 +223,7 @@ def brute_force_count(family: FamilyId, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > BRUTE_LIMIT:
-        raise ValueError(f"brute-force enumeration is limited to n <= {BRUTE_LIMIT}")
-    if n == 0:
-        return 1
-    if family is FamilyId.OVERPARTITION_ODD:
-        return _count_partitions(n, lambda k: k % 2 == 1, lambda k: None, size_factor=2)
-    if family is FamilyId.PED:
-        return _count_partitions(n, lambda k: True, lambda k: 1 if k % 2 == 0 else None)
-    if family is FamilyId.PD:
-        distinct = _count_partitions(n, lambda k: True, lambda k: 1)
-        odd = _count_partitions(n, lambda k: k % 2 == 1, lambda k: None)
-        if distinct != odd:
-            raise AssertionError(f"distinct-parts and odd-parts tallies differ at n={n}: "
-                                 f"{distinct} vs {odd}")
-        return distinct
-    if family is FamilyId.POD:
-        return _count_partitions(n, lambda k: True, lambda k: 1 if k % 2 == 1 else None)
-    if family is FamilyId.PE:
-        return _count_partitions(n, lambda k: k % 2 == 0, lambda k: None)
-    raise AssertionError(f"unhandled family {family}")
+    return _brute_table(family, n)[n]
 
 
 def table(family: FamilyId, order: int, route: Route) -> list[int]:
@@ -238,7 +239,5 @@ def table(family: FamilyId, order: int, route: Route) -> list[int]:
     if route is Route.BINOMIAL:
         return binomial_table(family, order)
     if route is Route.BRUTE:
-        if order > BRUTE_LIMIT:
-            raise ValueError(f"brute route is limited to order <= {BRUTE_LIMIT}")
-        return [brute_force_count(family, n) for n in range(order + 1)]
+        return _brute_table(family, order)
     raise AssertionError(f"unhandled route {route}")

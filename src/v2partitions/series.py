@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,16 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
-def product_power(e: Callable[[int], int], order: int) -> TruncatedSeries:
-    """Expand prod_{n=1..order} (1+q^n)^e(n) mod q^(order+1).
+def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
+    """Expand prod_{n=1..order} (1+q^n)^e[n] mod q^(order+1); e[0] is unused.
 
-    Each (1+q^n) factor is one shift-add pass, applied e(n) times.
+    Each (1+q^n) factor is one shift-add pass, applied e[n] times.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     c = [0] * (order + 1)
     c[0] = 1
     for n in range(1, order + 1):
-        for _ in range(e(n)):
+        for _ in range(e[n]):
             _shift_add(c, c, n, 1)
     return TruncatedSeries(tuple(c))

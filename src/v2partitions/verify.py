@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .families import BRUTE_LIMIT, CappedPartition, Route, binomial_table, enumerate_capped, table
+from .families import BRUTE_LIMIT, CappedPartition, Route, binomial_table, enumerate_capped, exponents, table
 from .series import product_power
-from .valuation import FamilyId, exponent
+from .valuation import FamilyId
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,9 @@ class RemarkTrace:
 
 
 def _compare_tables(tables: dict[str, list[int]]) -> tuple[int, dict[str, int | None]] | None:
-    for n in range(max(map(len, tables.values()))):
-        values = {name: t[n] if n < len(t) else None for name, t in tables.items()}
-        if len(set(values.values())) > 1:
-            return (n, values)
+    for n, values in enumerate(zip_longest(*tables.values())):
+        if values.count(values[0]) != len(values):
+            return (n, dict(zip(tables, values)))
     return None
 
 
@@ -89,12 +89,11 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
     if order < 0:
         raise ValueError("order must be non-negative")
     start = time.perf_counter()
-
-    def e(n: int) -> int:
-        # one factor (1+q^n) exactly when n = m * 2^k
-        q, r = divmod(n, m)
-        return int(r == 0 and q & (q - 1) == 0)
-
+    e = [0] * (order + 1)  # one factor (1+q^n) exactly when n = m * 2^k
+    n = m
+    while n <= order:
+        e[n] = 1
+        n *= 2
     prod = list(product_power(e, order).coeffs)
     geom = [1 if k % m == 0 else 0 for k in range(order + 1)]
     mismatch = _compare_tables({"binary-product": prod, "geometric-reciprocal": geom})
@@ -110,9 +109,9 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
     )
 
 
-def _render_term(partition: CappedPartition, cap) -> str:
+def _render_term(partition: CappedPartition, caps: list[int]) -> str:
     factors = [
-        f"C({cap(k)},{t})"
+        f"C({caps[k]},{t})"
         for k, t in sorted(
             ((k, t) for k, t in enumerate(partition.multiplicities, start=1) if t),
             reverse=True,
@@ -125,9 +124,9 @@ def remark_trace(family: FamilyId, n: int) -> RemarkTrace:
     """Render every capped partition of n with its binomial-product weight."""
     if n < 1 or n > BRUTE_LIMIT:
         raise ValueError(f"remark tableaux are limited to 1 <= n <= {BRUTE_LIMIT}")
-    cap = lambda k: exponent(family, k)
-    partitions = enumerate_capped(n, cap)
-    lines = tuple((p, _render_term(p, cap)) for p in partitions)
+    caps = exponents(family, n)
+    partitions = enumerate_capped(n, caps)
+    lines = tuple((p, _render_term(p, caps)) for p in partitions)
     total = sum(p.weight for p in partitions)
     expected = binomial_table(family, n)[n]
     if total != expected:

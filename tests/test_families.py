@@ -16,10 +16,16 @@ from v2partitions import (
     reciprocal,
     table,
 )
+from v2partitions import families, series, valuation
 
 import oracles
 
 ALL_FAMILIES = list(FamilyId)
+
+
+def exponent_caps(family, n):
+    return [0] + [exponent(family, k) for k in range(1, n + 1)]
+
 
 # Each family's generating function as the q-Pochhammer fraction
 # numerator/denominator it was first written as; specs are (sign, offset,
@@ -104,21 +110,21 @@ class TestEnumerateCapped:
          [(8,), (6, 2), (4, 4)], [3, 1, 1]),
     ])
     def test_worked_listings(self, family, n, expected_parts, expected_weights):
-        got = enumerate_capped(n, lambda k: exponent(family, k))
+        got = enumerate_capped(n, exponent_caps(family, n))
         assert [p.parts() for p in got] == expected_parts
         assert [p.weight for p in got] == expected_weights
 
     def test_invariants(self):
-        cap = lambda k: exponent(FamilyId.OVERPARTITION_ODD, k)
-        for p in enumerate_capped(12, cap):
+        caps = exponent_caps(FamilyId.OVERPARTITION_ODD, 12)
+        for p in enumerate_capped(12, caps):
             assert sum(k * t for k, t in enumerate(p.multiplicities, start=1)) == 12
-            assert all(t <= cap(k) for k, t in enumerate(p.multiplicities, start=1))
+            assert all(t <= caps[k] for k, t in enumerate(p.multiplicities, start=1))
             assert p.weight >= 1
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
     def test_weight_sum_equals_binomial_sum(self, family, n):
-        got = enumerate_capped(n, lambda k: exponent(family, k))
+        got = enumerate_capped(n, exponent_caps(family, n))
         assert sum(p.weight for p in got) == binomial_sum(family, n)
 
 
@@ -158,6 +164,46 @@ class TestBruteForce:
         for n in range(41):
             assert (brute_force_count(FamilyId.PD, n)
                     == oracles.count_with(n, oracles.all_odd))
+
+    def test_tally_disagreement_names_first_differing_n(self, monkeypatch):
+        original = families._count_partitions
+
+        def skewed(caps, size_factor=1):
+            counts = original(caps, size_factor)
+            if caps[2] == 0:  # the odd-parts tally: even parts are capped at 0
+                counts[5] += 1
+            return counts
+
+        monkeypatch.setattr(families, "_count_partitions", skewed)
+        with pytest.raises(AssertionError, match="at n=5: 3 vs 4"):
+            brute_force_count(FamilyId.PD, 10)
+
+
+def _crossed(*args):
+    raise AssertionError("route boundary crossed")
+
+
+class TestRouteBoundaries:
+    # Pins README's "What the routes share": brute reads neither the exponent
+    # rule nor the shift-add kernel, and gf does not read the exponent rule.
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
+        expected = table(family, 60, Route.GF)
+        for module, name in [(families, "exponent"), (valuation, "exponent"),
+                             (series, "_shift_add"), (families, "_shift_add")]:
+            monkeypatch.setattr(module, name, _crossed)
+        with pytest.raises(AssertionError, match="boundary"):
+            table(family, 60, Route.PRODUCT)
+        assert table(family, 60, Route.BRUTE) == expected
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_gf_reads_no_exponent_rule(self, monkeypatch, family):
+        expected = table(family, 200, Route.GF)
+        monkeypatch.setattr(families, "exponent", _crossed)
+        monkeypatch.setattr(valuation, "exponent", _crossed)
+        with pytest.raises(AssertionError, match="boundary"):
+            table(family, 200, Route.BINOMIAL)
+        assert table(family, 200, Route.GF) == expected
 
 
 class TestRouteEquivalence:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,17 +129,25 @@ class TestPochhammer:
 
 class TestProductPower:
     def test_zero_exponents(self):
-        assert product_power(lambda n: 0, 6) == one(6)
+        assert product_power([0] * 7, 6) == one(6)
 
     def test_unit_exponents_give_distinct_partitions(self):
         # (1+q)(1+q^2)(1+q^3) counts partitions into distinct parts
-        got = product_power(lambda n: 1, 3)
+        got = product_power([0, 1, 1, 1], 3)
         expected = [count_with(n, distinct_parts) for n in range(4)]
         assert list(got.coeffs) == expected == [1, 1, 1, 2]
 
     @pytest.mark.parametrize("N", [0, 1, 10, 50, 200])
     def test_euler_identity(self, N):
         # (-q;q) = 1/(q;q^2)
-        lhs = product_power(lambda n: 1, N)
+        lhs = product_power([0] + [1] * N, N)
         rhs = reciprocal(pochhammer(PochhammerSpec(sign=1, offset=1, step=2), N), N)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixed_exponents_match_factor_expansion(self, seed):
+        N = 60
+        rng = random.Random(seed)
+        e = [0] + [rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(N)]
+        factors = [{0: 1, n: 1} for n in range(1, N + 1) for _ in range(e[n])]
+        assert list(product_power(e, N).coeffs) == product_expand(factors, N)

@@ -75,6 +75,22 @@ class TestVerifyFamily:
         assert cli._report_dict(report, stable=True)["first_mismatch"]["values"] == \
             {"gf": None, "product": "64", "binomial": "64"}
 
+    @pytest.mark.parametrize("name,route", [("binomial_table", "binomial"), ("_brute_table", "brute")])
+    def test_one_later_route_wrong_fails_at_its_index(self, monkeypatch, name, route):
+        # gf and product still agree, so only a comparison of every table catches it
+        original = getattr(families, name)
+
+        def skewed(family, order):
+            values = original(family, order)
+            values[9] += 1
+            return values
+
+        monkeypatch.setattr(families, name, skewed)
+        report = verify_family(FamilyId.PD, 40, include_brute=True)
+        expected = {"gf": 8, "product": 8, "binomial": 8, "brute": 8}
+        expected[route] = 9
+        assert report.first_mismatch == (9, expected)
+
     def test_reports_deterministic_modulo_elapsed(self):
         a = verify_family(FamilyId.POD, 60)
         b = verify_family(FamilyId.POD, 60)
@@ -102,7 +118,7 @@ class TestBinaryIdentity:
 
     def test_dropped_product_factor_fails_at_its_exponent(self, monkeypatch):
         monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
-            lambda n: 0 if n == 4 else e(n), order))
+            e[:4] + [0] + e[5:], order))
         report = verify_binary_identity(1, 16)
         assert report.status == "FAIL"
         assert report.first_mismatch[0] == 4
