@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ FAMILY_TOKENS = [f.value for f in FamilyId]
 ROUTE_TOKENS = [r.value for r in Route]
 
 BINARY_IDENTITY_SWEEP = 50      # m <= 50 checked in every verify run
+_DECIMAL = re.compile(r"-?[0-9]+")  # a b-file field; int() alone also takes "1_0" and "+1"
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,9 @@ def parse_bfile(path: str) -> list[BFileEntry]:
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: expected '<n> <value>', got {line!r}")
-            try:
+            try:  # int() also raises on a field past its digit limit
+                if not all(_DECIMAL.fullmatch(field) for field in fields):
+                    raise ValueError
                 index, value = int(fields[0]), int(fields[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
@@ -90,17 +94,18 @@ def _report_dict(report, stable: bool) -> dict:
     return d
 
 
-def _print_report(report, fmt: str, stable: bool) -> None:
+def _print_result(d: dict, fmt: str, stable: bool) -> None:
+    """Print one verify result dict as a JSON line, or as the text line read off its keys."""
     if fmt == "json":
-        print(json.dumps(_report_dict(report, stable)))
+        print(json.dumps(d))
         return
-    elapsed = "-" if stable else f"{report.elapsed_ms:.1f}ms"
-    line = f"{report.status}  {report.subject()}  order={report.order}  " \
-           f"routes={','.join(report.routes_compared)}  elapsed={elapsed}"
-    if report.first_mismatch is not None:
-        n, values = report.first_mismatch
-        detail = ", ".join(f"{k}={v}" for k, v in values.items())
-        line += f"  first mismatch at n={n}: {detail}"
+    line = f"{d['status']}  {d['subject']}  order={d['order']}"
+    if "routes" in d:
+        elapsed = "-" if stable else f"{d['elapsed_ms']:.1f}ms"
+        line += f"  routes={','.join(d['routes'])}  elapsed={elapsed}"
+    if "first_mismatch" in d:
+        detail = ", ".join(f"{k}={v}" for k, v in d["first_mismatch"]["values"].items())
+        line += f"  first mismatch at n={d['first_mismatch']['n']}: {detail}"
     print(line)
 
 
@@ -110,23 +115,20 @@ def cmd_verify(args) -> int:
     else:
         # dict.fromkeys drops repeated tokens and keeps the first-named order
         families = [FamilyId.from_token(tok) for tok in dict.fromkeys(args.families.split(","))]
-    all_pass = True
+    families_pass = sweep_pass = True
     for family in families:
         report = verify_family(family, args.limit, include_brute=args.brute)
-        _print_report(report, args.format, args.stable)
-        all_pass &= report.passed
+        _print_result(_report_dict(report, args.stable), args.format, args.stable)
+        families_pass &= report.passed
     for m in range(1, BINARY_IDENTITY_SWEEP + 1):
         report = verify_binary_identity(m, args.limit)
         if not report.passed:
-            _print_report(report, args.format, args.stable)
-            all_pass = False
-    if all_pass:
-        if args.format == "json":
-            print(json.dumps({"subject": f"binary-identity m<={BINARY_IDENTITY_SWEEP}",
-                              "order": args.limit, "status": "PASS"}))
-        else:
-            print(f"PASS  binary-identity m<={BINARY_IDENTITY_SWEEP}  order={args.limit}")
-    return 0 if all_pass else 1
+            _print_result(_report_dict(report, args.stable), args.format, args.stable)
+            sweep_pass = False
+    if sweep_pass:
+        _print_result({"subject": f"binary-identity m<={BINARY_IDENTITY_SWEEP}",
+                       "order": args.limit, "status": "PASS"}, args.format, args.stable)
+    return 0 if families_pass and sweep_pass else 1
 
 
 def cmd_remark(args) -> int:

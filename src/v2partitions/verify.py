@@ -61,6 +61,22 @@ def _compare_tables(tables: dict[str, list[int]]) -> tuple[int, dict[str, int | 
     return None
 
 
+def _report(order: int, tables: dict[str, list[int]], start: float,
+            family: FamilyId | None = None, identity_m: int | None = None) -> VerificationReport:
+    # Every report is built here: the compared routes are the tables' keys, and
+    # elapsed_ms runs from `start` to the end of the comparison.
+    mismatch = _compare_tables(tables)
+    return VerificationReport(
+        family=family,
+        order=order,
+        routes_compared=tuple(tables),
+        status="PASS" if mismatch is None else "FAIL",
+        first_mismatch=mismatch,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+        identity_m=identity_m,
+    )
+
+
 def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> VerificationReport:
     """Compare GF, PRODUCT and BINOMIAL (optionally BRUTE) tables up to `order`."""
     if include_brute and order > BRUTE_LIMIT:
@@ -70,16 +86,7 @@ def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> 
     if include_brute:
         routes.append(Route.BRUTE)
     tables = {route.value: table(family, order, route) for route in routes}
-    mismatch = _compare_tables(tables)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        family=family,
-        order=order,
-        routes_compared=tuple(r.value for r in routes),
-        status="PASS" if mismatch is None else "FAIL",
-        first_mismatch=mismatch,
-        elapsed_ms=elapsed,
-    )
+    return _report(order, tables, start, family=family)
 
 
 def verify_binary_identity(m: int, order: int) -> VerificationReport:
@@ -94,19 +101,9 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
     while n <= order:
         e[n] = 1
         n *= 2
-    prod = list(product_power(e, order).coeffs)
-    geom = [1 if k % m == 0 else 0 for k in range(order + 1)]
-    mismatch = _compare_tables({"binary-product": prod, "geometric-reciprocal": geom})
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        family=None,
-        order=order,
-        routes_compared=("binary-product", "geometric-reciprocal"),
-        status="PASS" if mismatch is None else "FAIL",
-        first_mismatch=mismatch,
-        elapsed_ms=elapsed,
-        identity_m=m,
-    )
+    tables = {"binary-product": list(product_power(e, order).coeffs),
+              "geometric-reciprocal": [1 if k % m == 0 else 0 for k in range(order + 1)]}
+    return _report(order, tables, start, identity_m=m)
 
 
 def _render_term(partition: CappedPartition, caps: list[int]) -> str:

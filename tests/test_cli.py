@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from v2partitions import families
 from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, main, parse_bfile
 from v2partitions.families import BRUTE_LIMIT, MAX_ORDER
 
@@ -20,6 +21,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def short_gf(monkeypatch):
+    """gf's table ends one term before the requested order."""
+    original = families.gf_series
+    monkeypatch.setattr(families, "gf_series", lambda family, order: original(family, order - 1))
+
+
+@pytest.fixture
+def skewed_binomial(monkeypatch):
+    """The binomial route's value at n = 9 is one too large."""
+    original = families.binomial_table
+
+    def skewed(family, order):
+        values = original(family, order)
+        values[9] += 1
+        return values
+
+    monkeypatch.setattr(families, "binomial_table", skewed)
 
 
 class TestTable:
@@ -111,6 +132,46 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("fault,argv,code,text,json_lines", [
+        (None, ["--families", "pd,pe", "--limit", "60"], 0,
+         "PASS  pd  order=60  routes=gf,product,binomial  elapsed=-\n"
+         "PASS  pe  order=60  routes=gf,product,binomial  elapsed=-\n"
+         "PASS  binary-identity m<=50  order=60\n",
+         '{"subject": "pd", "order": 60, "routes": ["gf", "product", "binomial"], '
+         '"status": "PASS", "elapsed_ms": 0.0}\n'
+         '{"subject": "pe", "order": 60, "routes": ["gf", "product", "binomial"], '
+         '"status": "PASS", "elapsed_ms": 0.0}\n'
+         '{"subject": "binary-identity m<=50", "order": 60, "status": "PASS"}\n'),
+        ("short_gf", ["--families", "pd", "--limit", "20"], 1,
+         "FAIL  pd  order=20  routes=gf,product,binomial  elapsed=-  "
+         "first mismatch at n=20: gf=None, product=64, binomial=64\n"
+         "PASS  binary-identity m<=50  order=20\n",
+         '{"subject": "pd", "order": 20, "routes": ["gf", "product", "binomial"], '
+         '"status": "FAIL", "elapsed_ms": 0.0, "first_mismatch": {"n": 20, '
+         '"values": {"gf": null, "product": "64", "binomial": "64"}}}\n'
+         '{"subject": "binary-identity m<=50", "order": 20, "status": "PASS"}\n'),
+        ("skewed_binomial", ["--families", "pd", "--limit", "40", "--brute"], 1,
+         "FAIL  pd  order=40  routes=gf,product,binomial,brute  elapsed=-  "
+         "first mismatch at n=9: gf=8, product=8, binomial=9, brute=8\n"
+         "PASS  binary-identity m<=50  order=40\n",
+         '{"subject": "pd", "order": 40, "routes": ["gf", "product", "binomial", "brute"], '
+         '"status": "FAIL", "elapsed_ms": 0.0, "first_mismatch": {"n": 9, '
+         '"values": {"gf": "8", "product": "8", "binomial": "9", "brute": "8"}}}\n'
+         '{"subject": "binary-identity m<=50", "order": 40, "status": "PASS"}\n'),
+    ])
+    def test_stable_output_golden(self, capsys, request, fault, argv, code, text, json_lines):
+        if fault:
+            request.getfixturevalue(fault)
+        for fmt, expected in (("text", text), ("json", json_lines)):
+            assert run(capsys, "verify", *argv, "--stable", "--format", fmt) == (code, expected, "")
+
+    def test_family_fail_keeps_the_sweep_status_line(self, capsys, skewed_binomial):
+        code, out, _ = run(capsys, "verify", "--families", "pd", "--limit", "20")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("FAIL  pd  order=20  ")
+        assert lines[1:] == ["PASS  binary-identity m<=50  order=20"]
+
 
 class TestRemark:
     def test_overpartition_tableau(self, capsys):
@@ -149,6 +210,14 @@ class TestBFileParsing:
         f = tmp_path / "b.txt"
         f.write_text("0 1\n1 two\n")
         with pytest.raises(ValueError, match="line 2"):
+            parse_bfile(str(f))
+
+    @pytest.mark.parametrize("bad_line", ["1_0 2", "0 +1"])
+    def test_python_literal_field_rejected(self, tmp_path, bad_line):
+        # int() reads "1_0" as 10 and "+1" as 1; a b-file field is '-'? and ASCII digits
+        f = tmp_path / "b.txt"
+        f.write_text(f"0 1\n{bad_line}\n")
+        with pytest.raises(ValueError, match="line 2: non-integer field"):
             parse_bfile(str(f))
 
     def test_non_increasing_rejected(self, tmp_path):

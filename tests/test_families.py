@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2partitions import (
     FAMILIES,
@@ -126,6 +127,19 @@ class TestEnumerateCapped:
     def test_weight_sum_equals_binomial_sum(self, family, n):
         got = enumerate_capped(n, exponent_caps(family, n))
         assert sum(p.weight for p in got) == binomial_sum(family, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(caps=st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=30))
+    def test_any_caps_list_agrees_with_product_and_binomial_dp(self, caps):
+        # Not just the five families' caps: product_power, the binomial DP fed
+        # the same list and the enumerated weights agree on an arbitrary one.
+        caps = [0] + caps
+        N = len(caps) - 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(families, "exponents", lambda family, order: caps)
+            dp = families.binomial_table(FamilyId.PD, N)
+        weights = [1] + [sum(p.weight for p in enumerate_capped(n, caps)) for n in range(1, N + 1)]
+        assert list(series.product_power(caps, N).coeffs) == dp == weights
 
 
 class TestBruteForce:

@@ -154,3 +154,15 @@ class TestRemarkTrace:
     def test_policy_bound(self):
         with pytest.raises(ValueError):
             remark_trace(FamilyId.PD, 61)
+
+    def test_total_disagreeing_with_binomial_dp_raises(self, monkeypatch):
+        original = verify.binomial_table
+
+        def skewed(family, order):
+            values = original(family, order)
+            values[order] += 1
+            return values
+
+        monkeypatch.setattr(verify, "binomial_table", skewed)
+        with pytest.raises(AssertionError, match="disagrees with binomial DP .* for pd at n=7"):
+            remark_trace(FamilyId.PD, 7)
