@@ -35,28 +35,38 @@ class BFileEntry:
 def parse_bfile(path: str) -> list[BFileEntry]:
     """Parse an OEIS-style b-file: lines "<n> <value>", '#' comments, blanks ignored.
 
-    Raises ValueError (with line number) on malformed or non-increasing lines.
+    Raises ValueError, prefixed with the path, when the file cannot be read or
+    a line is malformed, non-ASCII or non-increasing (with its line number).
     """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     entries: list[BFileEntry] = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected '<n> <value>', got {line!r}")
-            try:  # int() also raises on a field past its digit limit
-                if not all(_DECIMAL.fullmatch(field) for field in fields):
-                    raise ValueError
-                index, value = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
-            if index < 0:
-                raise ValueError(f"line {lineno}: negative index {index}")
-            if entries and index <= entries[-1].index:
-                raise ValueError(f"line {lineno}: index {index} not strictly increasing")
-            entries.append(BFileEntry(index, value))
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        where = f"{path}: line {lineno}"
+        try:  # ASCII only, so no Unicode space (e.g. U+00A0) separates fields
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}: non-ASCII byte 0x{raw[exc.start]:02x} "
+                             f"at column {exc.start + 1}") from None
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"{where}: expected '<n> <value>', got {line!r}")
+        try:  # int() also raises on a field past its digit limit
+            if not all(_DECIMAL.fullmatch(field) for field in fields):
+                raise ValueError
+            index, value = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{where}: non-integer field in {line!r}") from None
+        if index < 0:
+            raise ValueError(f"{where}: negative index {index}")
+        if entries and index <= entries[-1].index:
+            raise ValueError(f"{where}: index {index} not strictly increasing")
+        entries.append(BFileEntry(index, value))
     return entries
 
 
@@ -144,14 +154,7 @@ def cmd_remark(args) -> int:
 def cmd_compare(args) -> int:
     family = FamilyId.from_token(args.family)
     route = Route.from_token(args.route)
-    try:
-        entries = parse_bfile(args.bfile)
-    except OSError as exc:
-        print(f"error: cannot read {args.bfile}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {args.bfile}: {exc}", file=sys.stderr)
-        return 2
+    entries = parse_bfile(args.bfile)
     limit = BRUTE_LIMIT if route is Route.BRUTE else MAX_ORDER
     comparable = [e for e in entries if e.index <= limit]
     skipped = [e for e in entries if e.index > limit]

@@ -75,22 +75,19 @@ FAMILIES: dict[FamilyId, FamilySpec] = {
 
 @dataclass(frozen=True)
 class CappedPartition:
-    """A partition of n as a multiplicity vector with per-part caps.
+    """A partition of n as (part k, multiplicity t) terms, largest part first.
 
-    multiplicities[k-1] is the multiplicity of part k (length n); weight is
-    prod_k C(caps[k], multiplicities[k-1]), always >= 1 for emitted partitions.
+    Each t is in 1..caps[k]; weight is prod C(caps[k], t) over the terms,
+    always >= 1 for emitted partitions.
     """
 
     n: int
-    multiplicities: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
     weight: int
 
     def parts(self) -> tuple[int, ...]:
         """Parts in decreasing order, e.g. (3, 1, 1)."""
-        out: list[int] = []
-        for k in range(len(self.multiplicities), 0, -1):
-            out.extend([k] * self.multiplicities[k - 1])
-        return tuple(out)
+        return tuple(k for k, t in self.terms for _ in range(t))
 
 
 def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
@@ -152,23 +149,17 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
     if n < 1:
         raise ValueError("n must be positive")
     results: list[CappedPartition] = []
-    mult = [0] * (n + 1)
 
-    def rec(remaining: int, max_part: int) -> None:
+    def rec(remaining: int, max_part: int, terms: tuple[tuple[int, int], ...], weight: int) -> None:
+        # One (k, t) term per level: larger parts, then more copies, come first.
         if remaining == 0:
-            weight = 1
-            for k in range(1, n + 1):
-                if mult[k]:
-                    weight *= comb(caps[k], mult[k])
-            results.append(CappedPartition(n, tuple(mult[1:]), weight))
+            results.append(CappedPartition(n, terms, weight))
             return
         for k in range(min(max_part, remaining), 0, -1):
-            if mult[k] < caps[k]:
-                mult[k] += 1
-                rec(remaining - k, k)
-                mult[k] -= 1
+            for t in range(min(caps[k], remaining // k), 0, -1):
+                rec(remaining - k * t, k - 1, terms + ((k, t),), weight * comb(caps[k], t))
 
-    rec(n, n)
+    rec(n, n, (), 1)
     return results
 
 

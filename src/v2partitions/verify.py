@@ -106,24 +106,13 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
     return _report(order, tables, start, identity_m=m)
 
 
-def _render_term(partition: CappedPartition, caps: list[int]) -> str:
-    factors = [
-        f"C({caps[k]},{t})"
-        for k, t in sorted(
-            ((k, t) for k, t in enumerate(partition.multiplicities, start=1) if t),
-            reverse=True,
-        )
-    ]
-    return "*".join(factors)
-
-
 def remark_trace(family: FamilyId, n: int) -> RemarkTrace:
     """Render every capped partition of n with its binomial-product weight."""
     if n < 1 or n > BRUTE_LIMIT:
         raise ValueError(f"remark tableaux are limited to 1 <= n <= {BRUTE_LIMIT}")
     caps = exponents(family, n)
     partitions = enumerate_capped(n, caps)
-    lines = tuple((p, _render_term(p, caps)) for p in partitions)
+    lines = tuple((p, "*".join(f"C({caps[k]},{t})" for k, t in p.terms)) for p in partitions)
     total = sum(p.weight for p in partitions)
     expected = binomial_table(family, n)[n]
     if total != expected:

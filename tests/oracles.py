@@ -85,3 +85,28 @@ def product_expand(factors, order):
                 new[i + power] += coeffs[i] * c
         coeffs = new
     return coeffs
+
+
+def divisor_sum_table(free, distinct, order):
+    """a(0..order) of prod_{free d} 1/(1-q^d) * prod_{distinct d} (1+q^d), d >= 1.
+
+    `free` and `distinct` are predicates on a part size d. The log-derivative
+    gives n*a(n) = sum_{j=1..n} b(j)*a(n-j), where b(j) sums d over the free
+    parts d | j and (-1)^(j/d+1)*d over the distinct parts d | j (Euler's
+    n*p(n) = sum sigma(j)*p(n-j), generalised). Raises if n does not divide
+    the sum, since an exact a(n) requires it.
+    """
+    b = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for j in range(d, order + 1, d):
+            if free(d):
+                b[j] += d
+            if distinct(d):
+                b[j] += d if (j // d) % 2 else -d
+    a = [1] + [0] * order
+    for n in range(1, order + 1):
+        total = sum(b[j] * a[n - j] for j in range(1, n + 1))
+        if total % n:
+            raise AssertionError(f"divisor sum {total} at n={n} is not a multiple of n")
+        a[n] = total // n
+    return a

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -198,6 +199,21 @@ class TestRemark:
         code, _, _ = run(capsys, "remark", "--family", "pd", "--n", "61")
         assert code == 2
 
+    @pytest.mark.parametrize("family", FAMILY_TOKENS)
+    def test_tableau_golden_at_40(self, capsys, family):
+        # The whole tableau, byte for byte: the listing order, every term and weight.
+        lines, sha256 = {
+            "overpartition-odd": (2893, "8364b61a7048ae5a0a5e6e68131ea3add44e8d0b6f788288cccf486711de4a3b"),
+            "ped": (2410, "4b26f69a63aee603703695adabf4e958bcb598c3b8ace887e63b2170a7bec00b"),
+            "pd": (1114, "b1dadb81f9763914e0fb8dc25a1c4691da4e694f7377d41ca0fa43cd69abe139"),
+            "pod": (1550, "380cdf1ffbbbf7260554e2c1a264fc1e5d020274384cda61b9bc2f02fe6767be"),
+            "pe": (115, "746f3d927c3fedb215dda0632009e05e5047a7a9a426134bab7f5ab981361912"),
+        }[family]
+        code, out, _ = run(capsys, "remark", "--family", family, "--n", "40")
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestBFileParsing:
     def test_comments_and_blanks_skipped(self, tmp_path):
@@ -256,6 +272,17 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--family", "pd", "--bfile", str(f))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("bad_line,byte,column", [("1 é", "0xc3", 3), ("1\u00a02", "0xc2", 2)],
+                             ids=["e-acute", "no-break-space"])
+    def test_non_ascii_byte_exits_two_with_line_number(self, capsys, tmp_path,
+                                                       bad_line, byte, column):
+        # A no-break space (U+00A0) is not a field separator: it is a non-ASCII byte.
+        f = tmp_path / "b.txt"
+        f.write_bytes(f"0 1\n{bad_line}\n".encode("utf-8"))
+        code, out, err = run(capsys, "compare", "--family", "pd", "--bfile", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {f}: line 2: non-ASCII byte {byte} at column {column}\n"
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "compare", "--family", "pd",
@@ -336,6 +363,14 @@ def test_full_verification_script_passes():
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
     assert proc.stdout.count("PASS") == 12  # 2 runs x (5 families + binary identity)
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark traces public names and reads each route's table; a rename
+    # or a changed return shape fails here, not only in a benchmark run.
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,7 +1,10 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2partitions import (
+    BRUTE_LIMIT,
     FAMILIES,
     FamilyId,
     PochhammerSpec,
@@ -16,6 +19,7 @@ from v2partitions import (
     product_series,
     reciprocal,
     table,
+    verify_family,
 )
 from v2partitions import families, series, valuation
 
@@ -117,10 +121,14 @@ class TestEnumerateCapped:
 
     def test_invariants(self):
         caps = exponent_caps(FamilyId.OVERPARTITION_ODD, 12)
-        for p in enumerate_capped(12, caps):
-            assert sum(k * t for k, t in enumerate(p.multiplicities, start=1)) == 12
-            assert all(t <= caps[k] for k, t in enumerate(p.multiplicities, start=1))
+        listing = enumerate_capped(12, caps)
+        for p in listing:
+            assert sum(k * t for k, t in p.terms) == 12
+            parts = [k for k, _ in p.terms]
+            assert parts == sorted(set(parts), reverse=True)  # strictly decreasing
+            assert all(1 <= t <= caps[k] for k, t in p.terms)
             assert p.weight >= 1
+        assert [p.parts() for p in listing] == sorted((p.parts() for p in listing), reverse=True)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
@@ -250,6 +258,14 @@ class TestRouteEquivalence:
         assert all(ped[n] % 4 == 0 for n in range(4, 1001, 9))
         assert all(ped[n] % 12 == 0 for n in range(7, 1001, 9))
 
+    @pytest.mark.parametrize("route", [Route.GF, Route.PRODUCT, Route.BINOMIAL])
+    def test_ramanujan_congruences_through_pe(self, route):
+        # p(5n+4) = 0 mod 5, p(7n+5) = 0 mod 7, p(11n+6) = 0 mod 11 (Ramanujan
+        # 1919, 1921), read through pe(2n) = p(n) for p(n) up to n = 1000.
+        p = table(FamilyId.PE, 2000, route)[::2]
+        for modulus, residue in [(5, 4), (7, 5), (11, 6)]:
+            assert all(p[n] % modulus == 0 for n in range(residue, 1001, modulus))
+
     def test_even_family_shadows_unrestricted_partitions(self):
         # p_e(2n) = p(n), p_e(odd) = 0
         N = 100
@@ -258,6 +274,84 @@ class TestRouteEquivalence:
         for n in range(N + 1):
             assert pe[2 * n] == p[n]
         assert all(pe[k] == 0 for k in range(1, 2 * N + 1, 2))
+
+
+def _odd(d):
+    return d % 2 == 1
+
+
+def _even(d):
+    return d % 2 == 0
+
+
+def _none(d):
+    return False
+
+
+def _all(d):
+    return True
+
+
+# Each family's parts read off its definition, as (free, distinct) rules on a
+# part size d: a free part repeats at will, a distinct part appears at most
+# once, and an overpartition into odd parts takes both for each odd d.
+PART_RULES = {
+    FamilyId.OVERPARTITION_ODD: (_odd, _odd),
+    FamilyId.PED: (_odd, _even),
+    FamilyId.PD: (_none, _all),
+    FamilyId.POD: (_even, _odd),
+    FamilyId.PE: (_even, _none),
+}
+ORACLE_N = 1000
+ANALYTIC_ROUTES = [Route.GF, Route.PRODUCT, Route.BINOMIAL]
+
+
+@cache
+def _divisor_sum_oracle(family):
+    return oracles.divisor_sum_table(*PART_RULES[family], ORACLE_N)
+
+
+def _first_difference(a, b):
+    return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def _check_against_oracle(family, route):
+    got, expected = table(family, ORACLE_N, route), _divisor_sum_oracle(family)
+    n = _first_difference(got, expected)
+    assert n is None, (f"{route.value} differs from the divisor-sum oracle at n={n}: "
+                       f"{got[n]} vs {expected[n]}")
+
+
+class TestDivisorSumOracle:
+    # Past brute's n <= 60: a recurrence from each family's part rules that
+    # reads no eta quotient, exponent rule, pentagonal series or kernel.
+    @pytest.mark.parametrize("route", ANALYTIC_ROUTES)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_analytic_routes_match_oracle_to_1000(self, family, route):
+        _check_against_oracle(family, route)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_kernel_fault_above_brute_limit_fails_oracle_not_brute(self, monkeypatch, family):
+        clean = {route: table(family, ORACLE_N, route) for route in ANALYTIC_ROUTES}
+        kernel = series._shift_add
+
+        def faulty(dst, src, s, w):
+            kernel(dst, src, s + 1 if s > BRUTE_LIMIT else s, w)  # one place too far
+
+        monkeypatch.setattr(series, "_shift_add", faulty)
+        monkeypatch.setattr(families, "_shift_add", faulty)
+        assert verify_family(family, BRUTE_LIMIT, include_brute=True).passed
+        changed = 0
+        for route in ANALYTIC_ROUTES:
+            first = _first_difference(table(family, ORACLE_N, route), clean[route])
+            if first is None:  # pe's gf, 1/f2, only divides: it never calls the kernel
+                assert (family, route) == (FamilyId.PE, Route.GF)
+                continue
+            changed += 1
+            assert first > BRUTE_LIMIT
+            with pytest.raises(AssertionError, match=f"{route.value} differs .* at n={first}:"):
+                _check_against_oracle(family, route)
+        assert changed >= 2
 
 
 class TestTable:
