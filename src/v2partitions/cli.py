@@ -24,6 +24,7 @@ ROUTE_TOKENS = [r.value for r in Route]
 
 BINARY_IDENTITY_SWEEP = 50      # m <= 50 checked in every verify run
 _DECIMAL = re.compile(r"-?[0-9]+")  # a b-file field; int() alone also takes "1_0" and "+1"
+_FIELD_SEP = re.compile(r"[ \t]+")  # str.split() would also split on \v \f and 0x1c-0x1f
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,13 @@ def parse_bfile(path: str) -> list[BFileEntry]:
     for lineno, raw in enumerate(data.splitlines(), start=1):
         where = f"{path}: line {lineno}"
         try:  # ASCII only, so no Unicode space (e.g. U+00A0) separates fields
-            line = raw.decode("ascii").strip()
+            line = raw.decode("ascii").strip(" \t")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{where}: non-ASCII byte 0x{raw[exc.start]:02x} "
                              f"at column {exc.start + 1}") from None
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = _FIELD_SEP.split(line)
         if len(fields) != 2:
             raise ValueError(f"{where}: expected '<n> <value>', got {line!r}")
         try:  # int() also raises on a field past its digit limit
@@ -71,14 +72,16 @@ def parse_bfile(path: str) -> list[BFileEntry]:
 
 
 def _emit_table(out, family: FamilyId, values: list[int], route: Route, fmt: str) -> None:
+    """Write the whole table in one call; a JSON row has the bytes of json.dumps(record)."""
     if fmt == "csv":
-        out.write("family,n,value,route\n")
-        for n, value in enumerate(values):
-            out.write(f"{family.value},{n},{value},{route.value}\n")
+        fam, rt = family.value, route.value
+        rows = ["family,n,value,route\n"]
+        rows += [f"{fam},{n},{value},{rt}\n" for n, value in enumerate(values)]
     else:
-        for n, value in enumerate(values):
-            record = {"family": family.value, "n": n, "value": str(value), "route": route.value}
-            out.write(json.dumps(record) + "\n")
+        fam, rt = json.dumps(family.value), json.dumps(route.value)
+        rows = [f'{{"family": {fam}, "n": {n}, "value": "{value}", "route": {rt}}}\n'
+                for n, value in enumerate(values)]
+    out.write("".join(rows))
 
 
 def cmd_table(args) -> int:
@@ -144,10 +147,10 @@ def cmd_verify(args) -> int:
 def cmd_remark(args) -> int:
     family = FamilyId.from_token(args.family)
     trace = remark_trace(family, args.n)
-    for partition, term in trace.lines:
-        parts = "+".join(str(p) for p in partition.parts())
-        print(f"{parts}  {term} = {partition.weight}")
-    print(f"total = {trace.total}")
+    rows = [f"{'+'.join(map(str, partition.parts()))}  {term} = {partition.weight}\n"
+            for partition, term in trace.lines]
+    rows.append(f"total = {trace.total}\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 
@@ -158,19 +161,14 @@ def cmd_compare(args) -> int:
     limit = BRUTE_LIMIT if route is Route.BRUTE else MAX_ORDER
     comparable = [e for e in entries if e.index <= limit]
     skipped = [e for e in entries if e.index > limit]
-    mismatches = 0
-    if comparable:
-        values = table(family, comparable[-1].index, route)
-        for entry in comparable:
-            computed = values[entry.index]
-            if computed == entry.value:
-                print(f"{entry.index}: MATCH {entry.value}")
-            else:
-                print(f"{entry.index}: MISMATCH file={entry.value} computed={computed}")
-                mismatches += 1
-    for entry in skipped:
-        print(f"{entry.index}: SKIPPED (beyond {route.value} route limit {limit})")
-    print(f"summary: {len(comparable)} compared, {mismatches} mismatched, {len(skipped)} skipped")
+    values = table(family, comparable[-1].index, route) if comparable else []
+    rows = [f"{e.index}: MATCH {e.value}\n" if values[e.index] == e.value else
+            f"{e.index}: MISMATCH file={e.value} computed={values[e.index]}\n" for e in comparable]
+    mismatches = sum(values[e.index] != e.value for e in comparable)
+    rows += [f"{e.index}: SKIPPED (beyond {route.value} route limit {limit})\n" for e in skipped]
+    rows.append(f"summary: {len(comparable)} compared, {mismatches} mismatched, "
+                f"{len(skipped)} skipped\n")
+    sys.stdout.write("".join(rows))
     return 1 if mismatches else 0
 
 

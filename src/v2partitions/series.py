@@ -9,7 +9,6 @@ compared at silently different orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import add, sub
 from typing import Sequence
 
@@ -78,18 +77,26 @@ def _divide(c: TruncatedSeries, a: TruncatedSeries, order: int) -> TruncatedSeri
 
     Recurrence r_k = c_k - sum_{i=1..k} a_i r_{k-i}, visiting only the nonzero
     a_i, so dividing by a sparse series costs O(nnz(a) * order).
+
+    Each nonzero a_i gets a cursor, a list iterator over r started when k
+    reaches i and filed under a_i. Every step appends r_k and advances each
+    cursor once, so at step k the cursor of term i yields r[k-i]: it reads
+    below len(r) and never runs dry. Summing each coefficient's cursors with
+    `map(next, ...)` runs the inner loop in C.
     """
     if a.coeffs[0] != 1:
         raise ValueError("reciprocal requires constant term 1")
     if a.order < order:
         raise ValueError("input must carry coefficients up to the requested order")
-    terms = [(i, ai) for i, ai in enumerate(a.coeffs[1:order + 1], start=1) if ai]
-    r = list(c.coeffs[:order + 1])
-    active = 0  # terms[:active] are the nonzero a_i with i <= k
-    for k in range(1, order + 1):
-        if active < len(terms) and terms[active][0] == k:
-            active += 1
-        r[k] -= sum(ai * r[k - i] for i, ai in islice(terms, active))
+    starts = {i: ai for i, ai in enumerate(a.coeffs[1:order + 1], start=1) if ai}
+    cursors: dict[int, list] = {}  # a_i -> cursors of the terms with that coefficient
+    r = [c.coeffs[0]]
+    for k, ck in enumerate(c.coeffs[1:order + 1], start=1):
+        if k in starts:
+            cursors.setdefault(starts[k], []).append(iter(r))
+        for ai, its in cursors.items():
+            ck -= ai * sum(map(next, its))
+        r.append(ck)
     return TruncatedSeries(tuple(r))
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from v2partitions import families
 from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, main, parse_bfile
-from v2partitions.families import BRUTE_LIMIT, MAX_ORDER
+from v2partitions.families import BRUTE_LIMIT, MAX_ORDER, Route
+from v2partitions.valuation import FamilyId
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,6 +76,21 @@ class TestTable:
         json_tuples = [(r["family"], str(r["n"]), r["value"], r["route"])
                        for r in map(json.loads, json_out.splitlines())]
         assert csv_tuples == json_tuples
+
+    @pytest.mark.parametrize("limit", [0, 1, 40])
+    @pytest.mark.parametrize("route", ["gf", "product", "binomial"])
+    @pytest.mark.parametrize("family", FAMILY_TOKENS)
+    def test_output_bytes_match_row_by_row_reconstruction(self, capsys, family, route, limit):
+        values = families.table(FamilyId.from_token(family), limit, Route.from_token(route))
+        _, csv_out, _ = run(capsys, "table", "--family", family, "--limit", str(limit),
+                            "--route", route, "--format", "csv")
+        _, json_out, _ = run(capsys, "table", "--family", family, "--limit", str(limit),
+                             "--route", route, "--format", "json")
+        assert csv_out == "family,n,value,route\n" + "".join(
+            f"{family},{n},{v},{route}\n" for n, v in enumerate(values))
+        assert json_out == "".join(
+            json.dumps({"family": family, "n": n, "value": str(v), "route": route}) + "\n"
+            for n, v in enumerate(values))
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +299,16 @@ class TestCompare:
         code, out, err = run(capsys, "compare", "--family", "pd", "--bfile", str(f))
         assert code == 2 and out == ""
         assert err == f"error: {f}: line 2: non-ASCII byte {byte} at column {column}\n"
+
+    @pytest.mark.parametrize("bad_line", ["1{}1", "{}1 1", "1 1{}"], ids=["between", "start", "end"])
+    @pytest.mark.parametrize("byte", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_control_byte_is_no_field_separator(self, capsys, tmp_path, bad_line, byte):
+        # str.split() and str.strip() treat these as whitespace; a b-file does not.
+        f = tmp_path / "b.txt"
+        f.write_bytes(f"0 1\n{bad_line.format(byte)}\n".encode("ascii"))
+        code, out, err = run(capsys, "compare", "--family", "pd", "--bfile", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}: line 2: ")
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "compare", "--family", "pd",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2partitions import PochhammerSpec, TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
+from v2partitions.series import _divide
 
 from oracles import count_with, distinct_parts, partition_count, product_expand
 
@@ -16,6 +17,12 @@ small_series = st.lists(st.integers(-9, 9), min_size=7, max_size=7).map(
     lambda c: series(*c))
 unit_series = st.lists(st.integers(-9, 9), min_size=6, max_size=6).map(
     lambda c: series(1, *c))
+# zeros (sparse divisors), the pentagonal coefficients +-1, and non-unit ones
+coefficient = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-10**20, 10**20))
+
+
+def coefficients(n):
+    return st.lists(coefficient, min_size=n, max_size=n)
 
 
 class TestOne:
@@ -77,6 +84,29 @@ class TestReciprocal:
     @given(unit_series)
     def test_inverse_property(self, a):
         assert mul(a, reciprocal(a, 5), 5) == one(5)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 40).flatmap(
+        lambda n: st.tuples(st.just(n), coefficients(n), coefficients(n + 1))))
+    def test_division_inverts_multiplication(self, case):
+        order, tail, c = case
+        a = series(1, *tail)
+        assert mul(a, _divide(series(*c), a, order), order) == series(*c)
+        assert mul(a, reciprocal(a, order), order) == one(order)
+
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), coefficients(n + 1))),
+           st.integers(-10**20, 10**20).filter(lambda a0: a0 != 1))
+    def test_division_requires_unit_constant_term(self, case, a0):
+        order, coeffs = case
+        with pytest.raises(ValueError, match="constant term 1"):
+            _divide(one(order), series(a0, *coeffs[1:]), order)
+
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1).flatmap(coefficients))))
+    def test_division_requires_divisor_up_to_order(self, case):
+        order, tail = case
+        with pytest.raises(ValueError, match="up to the requested order"):
+            _divide(one(order), series(1, *tail), order)
 
     def test_euler_product_inverse_gives_partition_numbers(self):
         # 1/(q;q) generates p(n); oracle: literal partition enumeration
