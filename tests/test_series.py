@@ -85,7 +85,6 @@ class TestReciprocal:
     def test_inverse_property(self, a):
         assert mul(a, reciprocal(a, 5), 5) == one(5)
 
-    @settings(max_examples=200)
     @given(st.integers(0, 40).flatmap(
         lambda n: st.tuples(st.just(n), coefficients(n), coefficients(n + 1))))
     def test_division_inverts_multiplication(self, case):
