@@ -8,7 +8,6 @@ routes whose coefficient-by-coefficient agreement is machine-verified.
 from .families import (
     BRUTE_LIMIT,
     CappedPartition,
-    FamilySpec,
     FAMILIES,
     Route,
     binomial_sum,
@@ -24,10 +23,10 @@ from .valuation import FamilyId, Valuation, exponent, v2
 from .verify import RemarkTrace, VerificationReport, remark_trace, verify_binary_identity, verify_family
 
 __all__ = [
-    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "FamilySpec",
-    "PochhammerSpec", "RemarkTrace", "Route", "TruncatedSeries", "Valuation",
-    "VerificationReport", "binomial_sum", "binomial_table", "brute_force_count",
-    "enumerate_capped", "exponent", "gf_series", "mul", "one", "pochhammer",
-    "product_power", "product_series", "reciprocal", "remark_trace", "table",
-    "v2", "verify_binary_identity", "verify_family",
+    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "PochhammerSpec",
+    "RemarkTrace", "Route", "TruncatedSeries", "Valuation", "VerificationReport",
+    "binomial_sum", "binomial_table", "brute_force_count", "enumerate_capped",
+    "exponent", "gf_series", "mul", "one", "pochhammer", "product_power",
+    "product_series", "reciprocal", "remark_trace", "table", "v2",
+    "verify_binary_identity", "verify_family",
 ]

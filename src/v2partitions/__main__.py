@@ -1,7 +1,5 @@
 """`python -m v2partitions` runs the command-line front end."""
 
-import sys
+from .cli import entrypoint
 
-from .cli import main
-
-sys.exit(main())
+entrypoint()

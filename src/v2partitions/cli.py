@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ def _emit_table(out, family: FamilyId, values: list[int], route: Route, fmt: str
 
 def cmd_table(args) -> int:
     family = FamilyId.from_token(args.family)
-    route = Route.from_token(args.route)
+    route = Route(args.route)
     values = table(family, args.limit, route)
     _emit_table(sys.stdout, family, values, route, args.format)
     return 0
@@ -94,7 +95,7 @@ def cmd_table(args) -> int:
 
 def _report_dict(report, stable: bool) -> dict:
     d = {
-        "subject": report.subject(),
+        "subject": report.subject,
         "order": report.order,
         "routes": list(report.routes_compared),
         "status": report.status,
@@ -156,7 +157,7 @@ def cmd_remark(args) -> int:
 
 def cmd_compare(args) -> int:
     family = FamilyId.from_token(args.family)
-    route = Route.from_token(args.route)
+    route = Route(args.route)
     entries = parse_bfile(args.bfile)
     limit = BRUTE_LIMIT if route is Route.BRUTE else MAX_ORDER
     comparable = [e for e in entries if e.index <= limit]
@@ -221,4 +222,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Exit with main()'s code; a reader that closed stdout early makes it 2."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at devnull so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

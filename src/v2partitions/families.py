@@ -13,7 +13,7 @@ performed by the `verify` module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -30,46 +30,17 @@ class Route(enum.Enum):
     BINOMIAL = "binomial"
     BRUTE = "brute"
 
-    @classmethod
-    def from_token(cls, token: str) -> "Route":
-        for route in cls:
-            if route.value == token:
-                return route
-        raise ValueError(f"unknown route {token!r}")
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Generating function and combinatorial definition of one family.
-
-    The generating function is the eta quotient prod_k f_k^eta[k], where
-    f_k = (q^k; q^k)_inf; e.g. ped = f4/f1 is {4: 1, 1: -1}.
-    """
-
-    id: FamilyId
-    eta: dict[int, int] = field(hash=False)  # a dict is unhashable; id and definition still hash
-    definition: str
-
-
-# Each family's q-Pochhammer fraction rewritten by Euler's identities, e.g.
+# Each family's generating function as the eta quotient prod_k f_k^eta[k],
+# where f_k = (q^k; q^k)_inf; e.g. ped = f4/f1 is {4: 1, 1: -1}. Each
+# q-Pochhammer fraction is rewritten by Euler's identities, e.g.
 # (-q; q^2)_inf = f2^2/(f1 f4) and (q; q^2)_inf = f1/f2 (Hirschhorn, The Power of q).
-FAMILIES: dict[FamilyId, FamilySpec] = {
-    FamilyId.OVERPARTITION_ODD: FamilySpec(
-        FamilyId.OVERPARTITION_ODD, {2: 3, 1: -2, 4: -1},
-        "overpartitions into odd parts (first occurrence of each part size may be overlined)"),
-    FamilyId.PED: FamilySpec(
-        FamilyId.PED, {4: 1, 1: -1},
-        "partitions with distinct even parts; odd parts may repeat"),
-    FamilyId.PD: FamilySpec(
-        FamilyId.PD, {2: 1, 1: -1},
-        "partitions into distinct parts (equinumerous with partitions into odd parts, "
-        "which is what 1/(q;q^2) literally generates)"),
-    FamilyId.POD: FamilySpec(
-        FamilyId.POD, {2: 1, 1: -1, 4: -1},
-        "partitions with distinct odd parts; even parts may repeat"),
-    FamilyId.PE: FamilySpec(
-        FamilyId.PE, {2: -1},
-        "partitions into even parts only"),
+FAMILIES: dict[FamilyId, dict[int, int]] = {
+    FamilyId.OVERPARTITION_ODD: {2: 3, 1: -2, 4: -1},
+    FamilyId.PED: {4: 1, 1: -1},
+    FamilyId.PD: {2: 1, 1: -1},
+    FamilyId.POD: {2: 1, 1: -1, 4: -1},
+    FamilyId.PE: {2: -1},
 }
 
 
@@ -81,7 +52,6 @@ class CappedPartition:
     always >= 1 for emitted partitions.
     """
 
-    n: int
     terms: tuple[tuple[int, int], ...]
     weight: int
 
@@ -97,7 +67,7 @@ def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
     division by it costs O(order^1.5).
     """
     c = one(order)
-    for k, e in sorted(FAMILIES[family].eta.items(), key=lambda item: item[1] < 0):
+    for k, e in sorted(FAMILIES[family].items(), key=lambda item: item[1] < 0):
         f_k = pochhammer(PochhammerSpec(sign=1, offset=k, step=k), order)
         for _ in range(abs(e)):
             c = mul(f_k, c, order) if e > 0 else _divide(c, f_k, order)
@@ -153,7 +123,7 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
     def rec(remaining: int, max_part: int, terms: tuple[tuple[int, int], ...], weight: int) -> None:
         # One (k, t) term per level: larger parts, then more copies, come first.
         if remaining == 0:
-            results.append(CappedPartition(n, terms, weight))
+            results.append(CappedPartition(terms, weight))
             return
         for k in range(min(max_part, remaining), 0, -1):
             for t in range(min(caps[k], remaining // k), 0, -1):

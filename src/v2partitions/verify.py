@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .families import BRUTE_LIMIT, CappedPartition, Route, binomial_table, enumerate_capped, exponents, table
+from .families import (BRUTE_LIMIT, MAX_ORDER, CappedPartition, Route, binomial_table, enumerate_capped,
+                       exponents, table)
 from .series import product_power
 from .valuation import FamilyId
 
@@ -20,36 +21,27 @@ from .valuation import FamilyId
 class VerificationReport:
     """Outcome of one coefficient-by-coefficient comparison.
 
-    `family` is None for the binary-identity check, where `identity_m`
-    carries the exponent multiplier instead. In `first_mismatch`, a route
-    whose table ends before n shows None. `elapsed_ms` is excluded from
-    any equality used in tests.
+    `subject` is the family token, or "binary-identity m=<m>" for the binary
+    identity. In `first_mismatch`, a route whose table ends before n shows
+    None. `elapsed_ms` is excluded from any equality used in tests.
     """
 
-    family: FamilyId | None
+    subject: str
     order: int
     routes_compared: tuple[str, ...]
     status: str  # "PASS" | "FAIL"
     first_mismatch: tuple[int, dict[str, int | None]] | None
     elapsed_ms: float
-    identity_m: int | None = None
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
-
-    def subject(self) -> str:
-        if self.family is not None:
-            return self.family.value
-        return f"binary-identity m={self.identity_m}"
 
 
 @dataclass(frozen=True)
 class RemarkTrace:
     """A capped-partition tableau: one weighted line per partition, plus the total."""
 
-    family: FamilyId
-    n: int
     lines: tuple[tuple[CappedPartition, str], ...]
     total: int
 
@@ -61,19 +53,17 @@ def _compare_tables(tables: dict[str, list[int]]) -> tuple[int, dict[str, int | 
     return None
 
 
-def _report(order: int, tables: dict[str, list[int]], start: float,
-            family: FamilyId | None = None, identity_m: int | None = None) -> VerificationReport:
+def _report(subject: str, order: int, tables: dict[str, list[int]], start: float) -> VerificationReport:
     # Every report is built here: the compared routes are the tables' keys, and
     # elapsed_ms runs from `start` to the end of the comparison.
     mismatch = _compare_tables(tables)
     return VerificationReport(
-        family=family,
+        subject=subject,
         order=order,
         routes_compared=tuple(tables),
         status="PASS" if mismatch is None else "FAIL",
         first_mismatch=mismatch,
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        identity_m=identity_m,
     )
 
 
@@ -86,7 +76,7 @@ def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> 
     if include_brute:
         routes.append(Route.BRUTE)
     tables = {route.value: table(family, order, route) for route in routes}
-    return _report(order, tables, start, family=family)
+    return _report(family.value, order, tables, start)
 
 
 def verify_binary_identity(m: int, order: int) -> VerificationReport:
@@ -95,6 +85,8 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
         raise ValueError("m must be positive")
     if order < 0:
         raise ValueError("order must be non-negative")
+    if order > MAX_ORDER:
+        raise ValueError(f"order is limited to <= {MAX_ORDER}")
     start = time.perf_counter()
     e = [0] * (order + 1)  # one factor (1+q^n) exactly when n = m * 2^k
     n = m
@@ -103,7 +95,7 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
         n *= 2
     tables = {"binary-product": list(product_power(e, order).coeffs),
               "geometric-reciprocal": [1 if k % m == 0 else 0 for k in range(order + 1)]}
-    return _report(order, tables, start, identity_m=m)
+    return _report(f"binary-identity m={m}", order, tables, start)
 
 
 def remark_trace(family: FamilyId, n: int) -> RemarkTrace:
@@ -119,4 +111,4 @@ def remark_trace(family: FamilyId, n: int) -> RemarkTrace:
         raise AssertionError(
             f"tableau total {total} disagrees with binomial DP {expected} "
             f"for {family.value} at n={n}")
-    return RemarkTrace(family=family, n=n, lines=lines, total=total)
+    return RemarkTrace(lines, total)

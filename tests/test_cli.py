@@ -81,7 +81,7 @@ class TestTable:
     @pytest.mark.parametrize("route", ["gf", "product", "binomial"])
     @pytest.mark.parametrize("family", FAMILY_TOKENS)
     def test_output_bytes_match_row_by_row_reconstruction(self, capsys, family, route, limit):
-        values = families.table(FamilyId.from_token(family), limit, Route.from_token(route))
+        values = families.table(FamilyId.from_token(family), limit, Route(route))
         _, csv_out, _ = run(capsys, "table", "--family", family, "--limit", str(limit),
                             "--route", route, "--format", "csv")
         _, json_out, _ = run(capsys, "table", "--family", family, "--limit", str(limit),
@@ -409,3 +409,19 @@ def test_python_dash_m_runs_the_cli():
     assert ok.stdout.splitlines()[-1] == "pe,8,5,gf"
     assert refused.returncode == 2
     assert refused.stderr.startswith("error:") and refused.stdout == ""
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    # Buffered stdout, and far more output than the pipe holds, so the write
+    # after the reader closes fails for certain.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "v2partitions", "table", "--family", "pd", "--limit", "5000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"family,n,value,route\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in err

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from v2partitions import FamilyId, binomial_sum, remark_trace, verify_binary_identity, verify_family
@@ -12,7 +10,7 @@ class TestVerifyFamily:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_passes_at_100(self, family):
         report = verify_family(family, 100)
-        assert report.passed
+        assert report.passed and report.subject == family.value
         assert report.first_mismatch is None
         assert report.routes_compared == ("gf", "product", "binomial")
 
@@ -59,8 +57,7 @@ class TestVerifyFamily:
     def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
         # f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
         # the q^2 coefficient of ped's gf flips.
-        spec = families.FAMILIES[FamilyId.PED]
-        monkeypatch.setitem(families.FAMILIES, FamilyId.PED, replace(spec, eta={2: 2, 1: -1}))
+        monkeypatch.setitem(families.FAMILIES, FamilyId.PED, {2: 2, 1: -1})
         report = verify_family(FamilyId.PED, 40)
         assert report.status == "FAIL"
         assert report.first_mismatch == (2, {"gf": 0, "product": 2, "binomial": 2})
@@ -94,8 +91,8 @@ class TestVerifyFamily:
     def test_reports_deterministic_modulo_elapsed(self):
         a = verify_family(FamilyId.POD, 60)
         b = verify_family(FamilyId.POD, 60)
-        assert (a.family, a.order, a.routes_compared, a.status, a.first_mismatch) == \
-               (b.family, b.order, b.routes_compared, b.status, b.first_mismatch)
+        assert (a.subject, a.order, a.routes_compared, a.status, a.first_mismatch) == \
+               (b.subject, b.order, b.routes_compared, b.status, b.first_mismatch)
 
 
 class TestBinaryIdentity:
@@ -116,6 +113,10 @@ class TestBinaryIdentity:
         with pytest.raises(ValueError):
             verify_binary_identity(0, 10)
 
+    def test_order_beyond_max_order_rejected(self):
+        with pytest.raises(ValueError, match="order is limited"):
+            verify_binary_identity(1, families.MAX_ORDER + 1)
+
     def test_dropped_product_factor_fails_at_its_exponent(self, monkeypatch):
         monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
             e[:4] + [0] + e[5:], order))
@@ -124,7 +125,7 @@ class TestBinaryIdentity:
         assert report.first_mismatch[0] == 4
 
     def test_subject_names_the_multiplier(self):
-        assert verify_binary_identity(7, 10).subject() == "binary-identity m=7"
+        assert verify_binary_identity(7, 10).subject == "binary-identity m=7"
 
 
 class TestRemarkTrace:
