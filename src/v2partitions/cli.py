@@ -10,6 +10,7 @@ here ever touches floating point except the elapsed timing field, which
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -223,6 +224,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     """Exit with main()'s code; a reader that closed stdout early makes it 2."""
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered stdout (-u, PYTHONUNBUFFERED) drops the rest of a short write
+        # to a closed pipe unseen. A buffered writer retries the rest, so the
+        # closed reader raises BrokenPipeError; flushing at each newline keeps
+        # the output as prompt as before.
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, buffering=1, closefd=False)
     try:
         code = main()
         sys.stdout.flush()

@@ -1,7 +1,7 @@
 """The five restricted partition families, each computable by four routes.
 
 Routes:
-  GF       — expand the family's generating function as an eta quotient,
+  GF       — expand the family's generating function as one quotient of sparse series,
   PRODUCT  — expand prod (1+q^n)^v(n) with the family's exponent rule,
   BINOMIAL — bounded-knapsack DP over the binomial-weighted capped partitions,
   BRUTE    — direct combinatorial enumeration from the family's definition.
@@ -15,9 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import comb, isqrt
 
-from .series import PochhammerSpec, TruncatedSeries, _divide, _shift_add, mul, one, pochhammer, product_power
+from .series import PochhammerSpec, TruncatedSeries, _divide, _shift_add, one, pochhammer, product_power
 from .valuation import FamilyId, exponent
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
@@ -31,16 +32,23 @@ class Route(enum.Enum):
     BRUTE = "brute"
 
 
-# Each family's generating function as the eta quotient prod_k f_k^eta[k],
-# where f_k = (q^k; q^k)_inf; e.g. ped = f4/f1 is {4: 1, 1: -1}. Each
-# q-Pochhammer fraction is rewritten by Euler's identities, e.g.
-# (-q; q^2)_inf = f2^2/(f1 f4) and (q; q^2)_inf = f1/f2 (Hirschhorn, The Power of q).
-FAMILIES: dict[FamilyId, dict[int, int]] = {
-    FamilyId.OVERPARTITION_ODD: {2: 3, 1: -2, 4: -1},
-    FamilyId.PED: {4: 1, 1: -1},
-    FamilyId.PD: {2: 1, 1: -1},
-    FamilyId.POD: {2: 1, 1: -1, 4: -1},
-    FamilyId.PE: {2: -1},
+# Each family's generating function as one quotient numerator/denominator of
+# sparse series, each side one of
+#   ("f", k)    f_k = (q^k; q^k)_inf, the pentagonal series,
+#   ("phi", k)  phi(-q^k) = sum_n (-1)^n q^(k n^2) over all integers n,
+#   ("psi", s)  psi(s q) = sum_{n>=0} s^(T_n) q^(T_n), T_n = n(n+1)/2, s = +-1,
+#   None        1.
+# Euler's identities rewrite each q-Pochhammer fraction as an eta quotient,
+# e.g. (-q; q^2)_inf = f2^2/(f1 f4), and Gauss's and Jacobi's phi(-q) = f1^2/f2,
+# phi(-q^2) = f2^2/f4 and psi(-q) = f1 f4/f2 fold each eta quotient into one
+# quotient (Hirschhorn, The Power of q).
+Side = tuple[str, int] | None
+FAMILIES: dict[FamilyId, tuple[Side, Side]] = {
+    FamilyId.OVERPARTITION_ODD: (("phi", 2), ("phi", 1)),  # f2^3/(f1^2 f4)
+    FamilyId.PED: (("f", 4), ("f", 1)),
+    FamilyId.PD: (("f", 2), ("f", 1)),
+    FamilyId.POD: (None, ("psi", -1)),  # f2/(f1 f4)
+    FamilyId.PE: (None, ("f", 2)),
 }
 
 
@@ -60,18 +68,39 @@ class CappedPartition:
         return tuple(k for k, t in self.terms for _ in range(t))
 
 
-def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
-    """Expand the family's eta quotient to `order`, positive exponents first.
+def sparse_side(side: Side, order: int) -> TruncatedSeries:
+    """One side of a FAMILIES quotient, written from its closed form to `order`."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if side is None:
+        return one(order)
+    kind, k = side
+    if kind == "f":
+        return pochhammer(PochhammerSpec(sign=1, offset=k, step=k), order)
+    c = [0] * (order + 1)
+    c[0] = 1
+    if kind == "phi":  # the terms n and -n together
+        for n in range(1, isqrt(order // k) + 1):
+            c[k * n * n] = 2 * (-1) ** n
+    elif kind == "psi":
+        t, n = 1, 1
+        while t <= order:
+            c[t] = k ** t
+            n += 1
+            t += n
+    else:
+        raise AssertionError(f"unknown series {kind!r}")
+    return TruncatedSeries(tuple(c))
 
-    Each f_k is the sparse pentagonal series, so every multiplication or
-    division by it costs O(order^1.5).
+
+def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
+    """Expand the family's quotient to `order` by one division.
+
+    Both sides have O(order^0.5) nonzero terms, so the division costs
+    O(order^1.5).
     """
-    c = one(order)
-    for k, e in sorted(FAMILIES[family].items(), key=lambda item: item[1] < 0):
-        f_k = pochhammer(PochhammerSpec(sign=1, offset=k, step=k), order)
-        for _ in range(abs(e)):
-            c = mul(f_k, c, order) if e > 0 else _divide(c, f_k, order)
-    return c
+    numerator, denominator = FAMILIES[family]
+    return _divide(sparse_side(numerator, order), sparse_side(denominator, order), order)
 
 
 def exponents(family: FamilyId, order: int) -> list[int]:
@@ -119,6 +148,7 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
     if n < 1:
         raise ValueError("n must be positive")
     results: list[CappedPartition] = []
+    reach = list(accumulate(k * cap for k, cap in enumerate(caps)))  # most parts <= k can sum to
 
     def rec(remaining: int, max_part: int, terms: tuple[tuple[int, int], ...], weight: int) -> None:
         # One (k, t) term per level: larger parts, then more copies, come first.
@@ -126,6 +156,8 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
             results.append(CappedPartition(terms, weight))
             return
         for k in range(min(max_part, remaining), 0, -1):
+            if reach[k] < remaining:  # parts <= k cannot fill it, nor can smaller ones
+                return
             for t in range(min(caps[k], remaining // k), 0, -1):
                 rec(remaining - k * t, k - 1, terms + ((k, t),), weight * comb(caps[k], t))
 

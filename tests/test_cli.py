@@ -411,11 +411,10 @@ def test_python_dash_m_runs_the_cli():
     assert refused.stderr.startswith("error:") and refused.stdout == ""
 
 
-def test_closed_stdout_exits_two_without_traceback():
-    # Buffered stdout, and far more output than the pipe holds, so the write
-    # after the reader closes fails for certain.
+def _closed_stdout_run(**env_extra):
+    # Far more output than the pipe holds, and the reader closes after one line.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env.update(PYTHONPATH=str(ROOT / "src"), **env_extra)
     proc = subprocess.Popen(
         [sys.executable, "-m", "v2partitions", "table", "--family", "pd", "--limit", "5000"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -423,5 +422,19 @@ def test_closed_stdout_exits_two_without_traceback():
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
+    return proc.wait(timeout=60), err
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    # Buffered stdout: the write after the reader closes fails for certain.
+    code, err = _closed_stdout_run()
+    assert code == 2
+    assert b"Traceback" not in err
+
+
+def test_closed_unbuffered_stdout_exits_two_without_traceback():
+    # Unbuffered stdout: the one large write comes back short once the reader
+    # closes, and the rest of it must still fail, not vanish.
+    code, err = _closed_stdout_run(PYTHONUNBUFFERED="1")
+    assert code == 2
     assert b"Traceback" not in err

@@ -15,6 +15,7 @@ from v2partitions import (
     exponent,
     gf_series,
     mul,
+    one,
     pochhammer,
     product_series,
     reciprocal,
@@ -65,8 +66,8 @@ class TestGfSeries:
     def test_constant_term_is_one(self, family):
         assert gf_series(family, 0).coeffs == (1,)
 
-    def test_eta_quotients_are_distinct(self):
-        assert len({frozenset(FAMILIES[family].items()) for family in ALL_FAMILIES}) == 5
+    def test_quotients_are_distinct(self):
+        assert len({FAMILIES[family] for family in ALL_FAMILIES}) == 5
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_eta_quotient_equals_pochhammer_fraction(self, family):
@@ -78,6 +79,27 @@ class TestGfSeries:
         if numerator is not None:
             dense = mul(pochhammer(numerator, N), dense, N)
         assert gf_series(family, N) == dense
+
+    @pytest.mark.parametrize("side,eta", [
+        (("phi", 1), {1: 2, 2: -1}),  # phi(-q) = f1^2/f2 (Gauss)
+        (("phi", 2), {2: 2, 4: -1}),  # phi(-q^2) = f2^2/f4
+        (("psi", 1), {2: 2, 1: -1}),  # psi(q) = f2^2/f1
+        (("psi", -1), {1: 1, 4: 1, 2: -1}),  # psi(-q) = f1 f4/f2
+    ], ids=["phi(-q)", "phi(-q^2)", "psi(q)", "psi(-q)"])
+    def test_theta_series_equals_eta_quotient(self, side, eta):
+        # The identities gf_series rests on, to N = 2000: each closed-form theta
+        # series against its eta quotient, expanded densely with mul and
+        # reciprocal over pentagonal series.
+        N = 2000
+        numerator, denominator = one(N), one(N)
+        for k, e in eta.items():
+            f_k = pochhammer(PochhammerSpec(1, k, k), N)
+            for _ in range(abs(e)):
+                if e > 0:
+                    numerator = mul(f_k, numerator, N)
+                else:
+                    denominator = mul(f_k, denominator, N)
+        assert families.sparse_side(side, N) == mul(numerator, reciprocal(denominator, N), N)
 
 
 class TestProductSeries:
@@ -212,7 +234,7 @@ def _crossed(*args):
 
 class TestRouteBoundaries:
     # Pins README's "What the routes share": brute reads neither the exponent
-    # rule nor the shift-add kernel, and gf does not read the exponent rule.
+    # rule nor the shift-add kernel, and neither does gf.
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
         expected = table(family, 60, Route.GF)
@@ -230,6 +252,15 @@ class TestRouteBoundaries:
         monkeypatch.setattr(valuation, "exponent", _crossed)
         with pytest.raises(AssertionError, match="boundary"):
             table(family, 200, Route.BINOMIAL)
+        assert table(family, 200, Route.GF) == expected
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_gf_calls_no_kernel_and_no_mul(self, monkeypatch, family):
+        expected = table(family, 200, Route.GF)
+        for module, name in [(series, "_shift_add"), (families, "_shift_add"), (series, "mul")]:
+            monkeypatch.setattr(module, name, _crossed)
+        with pytest.raises(AssertionError, match="boundary"):
+            table(family, 200, Route.PRODUCT)
         assert table(family, 200, Route.GF) == expected
 
 
@@ -329,7 +360,7 @@ def _check_against_oracle(family, route):
 
 class TestDivisorSumOracle:
     # Past brute's n <= 60: a recurrence from each family's part rules that
-    # reads no eta quotient, exponent rule, pentagonal series or kernel.
+    # reads no FAMILIES quotient, exponent rule, pentagonal series or kernel.
     @pytest.mark.parametrize("route", ANALYTIC_ROUTES)
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_analytic_routes_match_oracle_to_1000(self, family, route):
@@ -346,17 +377,30 @@ class TestDivisorSumOracle:
         monkeypatch.setattr(series, "_shift_add", faulty)
         monkeypatch.setattr(families, "_shift_add", faulty)
         assert verify_family(family, BRUTE_LIMIT, include_brute=True).passed
-        changed = 0
-        for route in ANALYTIC_ROUTES:
+        # gf, one division of sparse series, never calls the kernel
+        assert table(family, ORACLE_N, Route.GF) == clean[Route.GF]
+        for route in [Route.PRODUCT, Route.BINOMIAL]:
             first = _first_difference(table(family, ORACLE_N, route), clean[route])
-            if first is None:  # pe's gf, 1/f2, only divides: it never calls the kernel
-                assert (family, route) == (FamilyId.PE, Route.GF)
-                continue
-            changed += 1
-            assert first > BRUTE_LIMIT
+            assert first is not None and first > BRUTE_LIMIT
             with pytest.raises(AssertionError, match=f"{route.value} differs .* at n={first}:"):
                 _check_against_oracle(family, route)
-        assert changed >= 2
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_division_fault_above_brute_limit_fails_oracle_not_brute(self, monkeypatch, family):
+        clean = table(family, ORACLE_N, Route.GF)
+        divide = series._divide
+
+        def faulty(c, a, order):  # drops the divisor's terms past the brute limit
+            kept = a.coeffs[:BRUTE_LIMIT + 1] + (0,) * (a.order - BRUTE_LIMIT)
+            return divide(c, series.TruncatedSeries(kept), order)
+
+        monkeypatch.setattr(series, "_divide", faulty)
+        monkeypatch.setattr(families, "_divide", faulty)
+        assert verify_family(family, BRUTE_LIMIT, include_brute=True).passed
+        first = _first_difference(table(family, ORACLE_N, Route.GF), clean)
+        assert first is not None and first > BRUTE_LIMIT
+        with pytest.raises(AssertionError, match=f"gf differs .* at n={first}:"):
+            _check_against_oracle(family, Route.GF)
 
 
 class TestTable:

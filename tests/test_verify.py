@@ -36,15 +36,14 @@ class TestVerifyFamily:
         assert report.status == "FAIL"
         assert report.first_mismatch[0] == 7
 
-    @pytest.mark.parametrize("family,n,gf,product,binomial", [
-        (FamilyId.OVERPARTITION_ODD, 0, 0, 1, 1), (FamilyId.PED, 0, 0, 1, 1),
-        (FamilyId.PD, 0, 0, 1, 1), (FamilyId.POD, 0, 0, 1, 1), (FamilyId.PE, 2, 1, 0, 0),
+    @pytest.mark.parametrize("family,n,value", [
+        (FamilyId.OVERPARTITION_ODD, 1, 2), (FamilyId.PED, 1, 1), (FamilyId.PD, 1, 1),
+        (FamilyId.POD, 1, 1), (FamilyId.PE, 2, 1),
     ])
-    def test_off_by_one_kernel_shift_fails_against_brute(self, monkeypatch, family, n,
-                                                         gf, product, binomial):
-        # product, binomial and gf's multiply-by-f_k run on the one shift-add
-        # kernel. pe's gf (1/f2) touches no kernel, so there gf and brute agree
-        # at n and the two broken routes differ from both.
+    def test_off_by_one_kernel_shift_fails_against_brute(self, monkeypatch, family, n, value):
+        # product and binomial run on the one shift-add kernel, which now puts
+        # each part one place too high, so at the smallest part both read 0.
+        # gf, one division of sparse series, touches no kernel and agrees with brute.
         original = series._shift_add
         broken = lambda dst, src, s, w: original(dst, src, s + 1, w)
         monkeypatch.setattr(series, "_shift_add", broken)
@@ -52,12 +51,12 @@ class TestVerifyFamily:
         report = verify_family(family, 40, include_brute=True)
         assert report.status == "FAIL"
         assert report.first_mismatch == (
-            n, {"gf": gf, "product": product, "binomial": binomial, "brute": 1})
+            n, {"gf": value, "product": 0, "binomial": 0, "brute": value})
 
     def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
-        # f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
+        # psi(q) = f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
         # the q^2 coefficient of ped's gf flips.
-        monkeypatch.setitem(families.FAMILIES, FamilyId.PED, {2: 2, 1: -1})
+        monkeypatch.setitem(families.FAMILIES, FamilyId.PED, (("psi", 1), None))
         report = verify_family(FamilyId.PED, 40)
         assert report.status == "FAIL"
         assert report.first_mismatch == (2, {"gf": 0, "product": 2, "binomial": 2})
