@@ -225,10 +225,8 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     """Exit with main()'s code; a reader that closed stdout early makes it 2."""
     if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
-        # Unbuffered stdout (-u, PYTHONUNBUFFERED) drops the rest of a short write
-        # to a closed pipe unseen. A buffered writer retries the rest, so the
-        # closed reader raises BrokenPipeError; flushing at each newline keeps
-        # the output as prompt as before.
+        # Unbuffered (-u), a short write to a closed pipe drops the rest unseen; a
+        # line-buffered writer retries it, so the closed reader raises BrokenPipeError.
         sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
                           errors=sys.stdout.errors, buffering=1, closefd=False)
     try:

@@ -32,16 +32,13 @@ class Route(enum.Enum):
     BRUTE = "brute"
 
 
-# Each family's generating function as one quotient numerator/denominator of
-# sparse series, each side one of
-#   ("f", k)    f_k = (q^k; q^k)_inf, the pentagonal series,
-#   ("phi", k)  phi(-q^k) = sum_n (-1)^n q^(k n^2) over all integers n,
-#   ("psi", s)  psi(s q) = sum_{n>=0} s^(T_n) q^(T_n), T_n = n(n+1)/2, s = +-1,
-#   None        1.
-# Euler's identities rewrite each q-Pochhammer fraction as an eta quotient,
-# e.g. (-q; q^2)_inf = f2^2/(f1 f4), and Gauss's and Jacobi's phi(-q) = f1^2/f2,
-# phi(-q^2) = f2^2/f4 and psi(-q) = f1 f4/f2 fold each eta quotient into one
-# quotient (Hirschhorn, The Power of q).
+# Each family's generating function as one quotient (numerator, denominator)
+# of sparse series, each side ("f", k) for f_k = (q^k; q^k)_inf, ("phi", k) for
+# phi(-q^k), ("psi", s) for psi(s q) with s = +-1, or None for 1. Euler's
+# identities turn each q-Pochhammer fraction into an eta quotient, e.g.
+# (-q; q^2)_inf = f2^2/(f1 f4), and Gauss's and Jacobi's phi(-q) = f1^2/f2,
+# phi(-q^2) = f2^2/f4 and psi(-q) = f1 f4/f2 fold it into one quotient
+# (Hirschhorn, The Power of q).
 Side = tuple[str, int] | None
 FAMILIES: dict[FamilyId, tuple[Side, Side]] = {
     FamilyId.OVERPARTITION_ODD: (("phi", 2), ("phi", 1)),  # f2^3/(f1^2 f4)
@@ -79,17 +76,15 @@ def sparse_side(side: Side, order: int) -> TruncatedSeries:
         return pochhammer(PochhammerSpec(sign=1, offset=k, step=k), order)
     c = [0] * (order + 1)
     c[0] = 1
-    if kind == "phi":  # the terms n and -n together
+    if kind == "phi":  # phi(-q^k) = sum_n (-1)^n q^(k n^2), n and -n together
         for n in range(1, isqrt(order // k) + 1):
             c[k * n * n] = 2 * (-1) ** n
-    elif kind == "psi":
+    else:  # psi(k q) = sum_{n>=0} k^(T_n) q^(T_n), T_n = n(n+1)/2
         t, n = 1, 1
         while t <= order:
             c[t] = k ** t
             n += 1
             t += n
-    else:
-        raise AssertionError(f"unknown series {kind!r}")
     return TruncatedSeries(tuple(c))
 
 

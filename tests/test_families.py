@@ -66,6 +66,11 @@ class TestGfSeries:
     def test_constant_term_is_one(self, family):
         assert gf_series(family, 0).coeffs == (1,)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_negative_order_rejected(self, family):
+        with pytest.raises(ValueError, match="non-negative"):
+            gf_series(family, -1)
+
     def test_quotients_are_distinct(self):
         assert len({FAMILIES[family] for family in ALL_FAMILIES}) == 5
 
