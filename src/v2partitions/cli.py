@@ -10,6 +10,7 @@ here ever touches floating point except the elapsed timing field, which
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -174,6 +175,7 @@ def cmd_compare(args) -> int:
     return 1 if mismatches else 0
 
 
+@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v2partitions",

@@ -4,7 +4,8 @@ Routes:
   GF       — expand the family's generating function as one quotient of sparse series,
   PRODUCT  — expand prod (1+q^n)^v(n) with the family's exponent rule,
   BINOMIAL — bounded-knapsack DP over the binomial-weighted capped partitions,
-  BRUTE    — direct combinatorial enumeration from the family's definition.
+  BRUTE    — the largest-part recurrence, tabulated bottom-up from the caps
+             the family's definition puts on odd and even parts.
 
 Agreement of all four, coefficient by coefficient, is the verification
 performed by the `verify` module.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, isqrt
 
@@ -121,7 +121,7 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
     for k, cap in enumerate(exponents(family, order)):
         if cap == 0:
             continue
-        before = dp[:]
+        before = dp[:order + 1 - k]  # a shift by k * t >= k reads no further
         for t in range(1, min(cap, order // k) + 1):
             _shift_add(dp, before, k * t, comb(cap, t))
     return dp
@@ -163,21 +163,17 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
 def _count_partitions(caps: list[int], size_factor: int = 1) -> list[int]:
     # f(0..len(caps)-1): partitions with part k used at most caps[k] times;
     # each part size actually used contributes a factor size_factor (2 for
-    # overlining). One memo serves every n.
-    @lru_cache(maxsize=None)
-    def rec(remaining: int, largest: int) -> int:
-        if remaining == 0:
-            return 1
-        if largest == 0:
-            return 0
-        total = rec(remaining, largest - 1)
-        t = 1
-        while t <= caps[largest] and t * largest <= remaining:
-            total += size_factor * rec(remaining - t * largest, largest - 1)
-            t += 1
-        return total
-
-    return [rec(n, n) for n in range(len(caps))]
+    # overlining). Tabulated bottom-up over the largest part k:
+    # f_k(r) = f_{k-1}(r) + size_factor * sum_{t=1..caps[k]} f_{k-1}(r - t*k).
+    order = len(caps) - 1
+    counts = [1] + [0] * order  # partitions into parts < k
+    for k in range(1, order + 1):
+        fewer = counts[:]
+        for t in range(1, min(caps[k], order // k) + 1):
+            shift = t * k
+            for r in range(shift, order + 1):
+                counts[r] += size_factor * fewer[r - shift]
+    return counts
 
 
 def _brute_table(family: FamilyId, order: int) -> list[int]:
@@ -203,11 +199,12 @@ def _brute_table(family: FamilyId, order: int) -> list[int]:
 
 
 def brute_force_count(family: FamilyId, n: int) -> int:
-    """Count by direct enumeration from the family's combinatorial definition.
+    """Count from the family's combinatorial definition, with no series algebra.
 
-    The distinct-parts family is tallied twice (distinct parts, and odd
-    parts, which its generating function literally enumerates); the two
-    tallies must agree or this raises.
+    The largest-part recurrence is tabulated bottom-up from the caps that the
+    definition puts on odd and even parts. The distinct-parts family is
+    tallied twice (distinct parts, and odd parts, which its generating
+    function literally enumerates); the two tallies must agree or this raises.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2partitions import families
-from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, main, parse_bfile
+from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, build_parser, main, parse_bfile
 from v2partitions.families import BRUTE_LIMIT, MAX_ORDER, Route
 from v2partitions.valuation import FamilyId
 
@@ -102,6 +102,36 @@ class TestTable:
                            "--route", "brute")
         assert code == 2
         assert "error" in err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process, and no call leaves state for the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        build_parser.cache_clear()  # the first main() call below builds it
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_brute_flag_does_not_carry_over(self, capsys):
+        routes = []
+        for brute in (["--brute"], []):
+            code, out, _ = run(capsys, "verify", "--families", "pd", "--limit", "20",
+                               "--stable", "--format", "json", *brute)
+            assert code == 0
+            routes.append(",".join(json.loads(out.splitlines()[0])["routes"]))
+        assert routes == ["gf,product,binomial,brute", "gf,product,binomial"]
+
+    def test_usage_error_leaves_next_call_unchanged(self, capsys):
+        argv = ["table", "--family", "pe", "--limit", "12", "--route", "brute"]
+        first = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--family", "bogus", "--limit", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
 
 
 class TestVerify:

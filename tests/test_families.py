@@ -205,8 +205,9 @@ class TestBruteForce:
         (FamilyId.PD, oracles.distinct_parts),
     ])
     def test_against_literal_enumeration(self, family, keep):
-        for n in range(26):
-            assert brute_force_count(family, n) == oracles.count_with(n, keep)
+        expected = [oracles.count_with(n, keep) for n in range(31)]
+        assert table(family, 30, Route.BRUTE) == expected
+        assert [brute_force_count(family, n) for n in range(31)] == expected
 
     def test_overpartitions_against_literal_enumeration(self):
         for n in range(26):
@@ -239,12 +240,13 @@ def _crossed(*args):
 
 class TestRouteBoundaries:
     # Pins README's "What the routes share": brute reads neither the exponent
-    # rule nor the shift-add kernel, and neither does gf.
+    # rule nor the shift-add kernel nor the binomial DP, and neither does gf.
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
         expected = table(family, 60, Route.GF)
         for module, name in [(families, "exponent"), (valuation, "exponent"),
-                             (series, "_shift_add"), (families, "_shift_add")]:
+                             (series, "_shift_add"), (families, "_shift_add"),
+                             (families, "comb"), (families, "binomial_table")]:
             monkeypatch.setattr(module, name, _crossed)
         with pytest.raises(AssertionError, match="boundary"):
             table(family, 60, Route.PRODUCT)
