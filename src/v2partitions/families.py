@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb, isqrt
 
-from .series import PochhammerSpec, TruncatedSeries, _divide, _shift_add, one, pochhammer, product_power
+from .series import (PochhammerSpec, TruncatedSeries, _divide, _shift_add, _unpack, one, pochhammer,
+                     product_power, slot_bits)
 from .valuation import FamilyId, exponent
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
@@ -112,19 +113,19 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
     """f(0..order) by the bounded-knapsack DP over binomial-weighted multiplicities.
 
     State is the remaining weight; the transition at part k chooses its
-    multiplicity t <= v(k) with weight C(v(k), t).
+    multiplicity t <= v(k) with weight C(v(k), t). Part k's choices sum to
+    (1+q^k)^v(k), so the DP runs packed, with the product route's slot width.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    dp = [0] * (order + 1)
-    dp[0] = 1
-    for k, cap in enumerate(exponents(family, order)):
-        if cap == 0:
-            continue
-        before = dp[:order + 1 - k]  # a shift by k * t >= k reads no further
+    e = exponents(family, order)
+    bits = slot_bits(e, order)
+    dp = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
+    for k in compress(range(1, order + 1), e[1:]):
+        cap, before = e[k], dp
         for t in range(1, min(cap, order // k) + 1):
-            _shift_add(dp, before, k * t, comb(cap, t))
-    return dp
+            dp = _shift_add(dp, before, k * t, comb(cap, t), bits)
+    return _unpack(dp, order, bits)
 
 
 def binomial_sum(family: FamilyId, n: int) -> int:

@@ -4,12 +4,20 @@ A series is a dense coefficient vector c_0..c_N representing a power
 series mod q^(N+1). All arithmetic is exact (Python ints); the truncation
 order is passed explicitly to every operation so two routes can never be
 compared at silently different orders.
+
+Products of factors with non-negative coefficients (the product and
+binomial routes) run packed: c_0..c_N become one int with c_k in the
+`bits`-wide slot N - k, so each pass over the series is a few big-int
+operations. `slot_bits` chooses a width no coefficient can outgrow, and
+`_unpack` reads the slots back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import compress
+from math import ceil, exp, log, log1p, pi, sqrt
+from operator import mul as times
 from typing import Sequence
 
 
@@ -60,11 +68,8 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Cauchy product truncated at `order` (schoolbook convolution)."""
     if a.order < order or b.order < order:
         raise ValueError("both factors must carry coefficients up to the requested order")
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a.coeffs[:order + 1]):
-        if ai:
-            _shift_add(out, b.coeffs, i, ai)
-    return TruncatedSeries(tuple(out))
+    ac, bc = a.coeffs, b.coeffs
+    return TruncatedSeries(tuple(sum(map(times, ac[:k + 1], bc[k::-1])) for k in range(order + 1)))
 
 
 def reciprocal(a: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -100,23 +105,46 @@ def _divide(c: TruncatedSeries, a: TruncatedSeries, order: int) -> TruncatedSeri
     return TruncatedSeries(tuple(r))
 
 
-def _shift_add(dst: list[int], src: Sequence[int], s: int, w: int) -> None:
-    """dst[k] += w*src[k-s] for s <= k < len(dst), in place.
+def _shift_add(dst: int, src: int, s: int, w: int, bits: int) -> int:
+    """dst + w*q^s*src for packed series with `bits`-wide slots.
 
-    `src` may be `dst` itself: its needed prefix is then copied before `dst`
-    is written, so multiplying c by (1 + w*q^s) is _shift_add(c, c, s, w).
-    Otherwise `map` reads `src` directly and stops after len(dst) - s items.
+    c_k sits in slot order - k, so the shift by s slots toward the low end
+    moves c_k to c_(k+s) and drops the terms past the order. It reads only
+    whole slots, so it is exact while every coefficient fits its slot, and a
+    shift past the order adds nothing. `src` may be `dst` itself: multiplying
+    c by (1 + w*q^s) is c = _shift_add(c, c, s, w, bits).
     """
-    n = len(dst) - s
-    if n <= 0:
-        return
-    tail = src[:n] if src is dst else src
-    if w == 1:
-        dst[s:] = map(add, dst[s:], tail)
-    elif w == -1:
-        dst[s:] = map(sub, dst[s:], tail)
-    else:
-        dst[s:] = map(add, dst[s:], map(w.__mul__, tail))
+    shifted = src >> s * bits
+    return dst + (shifted if w == 1 else w * shifted)  # 1 * shifted would cost a pass
+
+
+def slot_bits(e: Sequence[int], order: int) -> int:
+    """A slot width in bits, a multiple of 8, that no coefficient of prod (1+q^n)^e[n] fills.
+
+    For 0 < x < 1 each coefficient c_k, k <= order, is at most
+    x^(-order) * prod_n (1+x^n)^e[n], since every factor has non-negative
+    coefficients. x = exp(-t) is taken near the saddle point of a product
+    with density rho = sum(e)/order, t = pi*sqrt(rho/(12*order)). The float
+    bound gets 2 bits of margin for rounding before it is rounded up to bytes.
+    """
+    total = sum(e[1:order + 1])
+    if total == 0:
+        return 8
+    t = pi * sqrt(total / 12) / order
+    log_bound = order * t + sum(e[n] * log1p(exp(-t * n))
+                                for n in compress(range(1, order + 1), e[1:order + 1]))
+    return 8 * ceil((log_bound / log(2) + 3) / 8)
+
+
+def _unpack(x: int, order: int, bits: int) -> list[int]:
+    """[c_0, ..., c_order] of a packed series: slot order - k holds c_k.
+
+    Bits above the top slot, which only a carry out of a too-narrow slot
+    puts there, are dropped.
+    """
+    size, width = bits // 8, (order + 1) * bits
+    raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
+    return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
@@ -141,7 +169,8 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
         return TruncatedSeries(tuple(c))
     m = spec.offset
     while m <= order:
-        _shift_add(c, c, m, -spec.sign)
+        for k in range(order, m - 1, -1):  # downward, so c[k - m] is not yet updated
+            c[k] -= spec.sign * c[k - m]
         m += spec.step
     return TruncatedSeries(tuple(c))
 
@@ -149,13 +178,14 @@ def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
 def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
     """Expand prod_{n=1..order} (1+q^n)^e[n] mod q^(order+1); e[0] is unused.
 
-    Each (1+q^n) factor is one shift-add pass, applied e[n] times.
+    Each (1+q^n) factor is one packed shift-add pass, applied e[n] times;
+    zero exponents cost nothing.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for n in range(1, order + 1):
+    bits = slot_bits(e, order)
+    c = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
+    for n in compress(range(1, order + 1), e[1:order + 1]):
         for _ in range(e[n]):
-            _shift_add(c, c, n, 1)
-    return TruncatedSeries(tuple(c))
+            c = _shift_add(c, c, n, 1, bits)
+    return TruncatedSeries(tuple(_unpack(c, order, bits)))

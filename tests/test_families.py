@@ -238,14 +238,18 @@ def _crossed(*args):
     raise AssertionError("route boundary crossed")
 
 
+PACKED_KERNEL = [(module, name) for module in (series, families)
+                 for name in ("_shift_add", "slot_bits", "_unpack")]
+
+
 class TestRouteBoundaries:
     # Pins README's "What the routes share": brute reads neither the exponent
-    # rule nor the shift-add kernel nor the binomial DP, and neither does gf.
+    # rule nor the packed kernel (shift-add, slot width, unpacker) nor the
+    # binomial DP, and neither does gf.
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
         expected = table(family, 60, Route.GF)
-        for module, name in [(families, "exponent"), (valuation, "exponent"),
-                             (series, "_shift_add"), (families, "_shift_add"),
+        for module, name in [(families, "exponent"), (valuation, "exponent"), *PACKED_KERNEL,
                              (families, "comb"), (families, "binomial_table")]:
             monkeypatch.setattr(module, name, _crossed)
         with pytest.raises(AssertionError, match="boundary"):
@@ -264,7 +268,7 @@ class TestRouteBoundaries:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gf_calls_no_kernel_and_no_mul(self, monkeypatch, family):
         expected = table(family, 200, Route.GF)
-        for module, name in [(series, "_shift_add"), (families, "_shift_add"), (series, "mul")]:
+        for module, name in [*PACKED_KERNEL, (series, "mul")]:
             monkeypatch.setattr(module, name, _crossed)
         with pytest.raises(AssertionError, match="boundary"):
             table(family, 200, Route.PRODUCT)
@@ -378,8 +382,8 @@ class TestDivisorSumOracle:
         clean = {route: table(family, ORACLE_N, route) for route in ANALYTIC_ROUTES}
         kernel = series._shift_add
 
-        def faulty(dst, src, s, w):
-            kernel(dst, src, s + 1 if s > BRUTE_LIMIT else s, w)  # one place too far
+        def faulty(dst, src, s, w, bits):  # one place too far past the brute limit
+            return kernel(dst, src, s + 1 if s > BRUTE_LIMIT else s, w, bits)
 
         monkeypatch.setattr(series, "_shift_add", faulty)
         monkeypatch.setattr(families, "_shift_add", faulty)
@@ -408,6 +412,26 @@ class TestDivisorSumOracle:
         assert first is not None and first > BRUTE_LIMIT
         with pytest.raises(AssertionError, match=f"gf differs .* at n={first}:"):
             _check_against_oracle(family, Route.GF)
+
+
+class TestSlotBits:
+    # The packed kernel is exact while every coefficient fits its slot. gf
+    # shares no code with the kernel, so its table says what the slots must hold.
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_slot_width_exceeds_every_gf_value(self, family):
+        for N in [*range(61), 500, 2000, 4000, 10_000]:
+            need = max(gf_series(family, N).coeffs).bit_length()
+            assert series.slot_bits(families.exponents(family, N), N) > need, N
+
+    @pytest.mark.parametrize("m", range(1, 51))
+    def test_slot_width_holds_binary_identity(self, m):
+        # The product side of the binary identity is 1/(1-q^m): every value is 0 or 1.
+        e = [0] * 501
+        n = m
+        while n <= 500:
+            e[n] = 1
+            n *= 2
+        assert all(series.slot_bits(e[:N + 1], N) > 1 for N in range(501))
 
 
 class TestTable:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2partitions import PochhammerSpec, TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
-from v2partitions.series import _divide
+from v2partitions.series import _divide, _shift_add, _unpack
 
 from oracles import count_with, distinct_parts, partition_count, product_expand
 
@@ -180,3 +180,26 @@ class TestProductPower:
         e = [0] + [rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(N)]
         factors = [{0: 1, n: 1} for n in range(1, N + 1) for _ in range(e[n])]
         assert list(product_power(e, N).coeffs) == product_expand(factors, N)
+
+
+class TestPackedKernel:
+    # c_k sits in slot order - k: 1 + 2q + 3q^2 at order 2 with 8-bit slots is 0x010203.
+    def test_slot_layout(self):
+        assert _unpack(0x010203, 2, 8) == [1, 2, 3]
+        assert _unpack(0x0001_0002_0003, 2, 16) == [1, 2, 3]
+
+    def test_order_zero(self):
+        assert _unpack(1, 0, 8) == [1]
+        assert product_power([0], 0) == one(0)
+        assert product_power([0, 5], 0) == one(0)  # a factor past the order adds nothing
+
+    def test_order_one(self):
+        assert _unpack(_shift_add(1 << 8, 1 << 8, 1, 5, 8), 1, 8) == [1, 5]
+        assert product_power([0, 3], 1) == series(1, 3)
+
+    @pytest.mark.parametrize("order", [0, 1, 5])
+    def test_shift_past_order_returns_dst(self, order):
+        bits = 16
+        packed = sum(k + 1 << (order - k) * bits for k in range(order + 1))
+        for s in [order + 1, order + 2, 10**6]:
+            assert _shift_add(packed, packed, s, 7, bits) == packed

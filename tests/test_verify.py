@@ -1,6 +1,7 @@
 import pytest
 
-from v2partitions import FamilyId, binomial_sum, remark_trace, verify_binary_identity, verify_family
+from v2partitions import (BRUTE_LIMIT, FamilyId, Route, binomial_sum, remark_trace, table,
+                          verify_binary_identity, verify_family)
 from v2partitions import cli, families, series, verify
 
 ALL_FAMILIES = list(FamilyId)
@@ -41,17 +42,34 @@ class TestVerifyFamily:
         (FamilyId.POD, 1, 1), (FamilyId.PE, 2, 1),
     ])
     def test_off_by_one_kernel_shift_fails_against_brute(self, monkeypatch, family, n, value):
-        # product and binomial run on the one shift-add kernel, which now puts
-        # each part one place too high, so at the smallest part both read 0.
+        # product and binomial run on the one packed shift-add kernel, which now
+        # puts each part one place too high, so at the smallest part both read 0.
         # gf, one division of sparse series, touches no kernel and agrees with brute.
         original = series._shift_add
-        broken = lambda dst, src, s, w: original(dst, src, s + 1, w)
+        broken = lambda dst, src, s, w, bits: original(dst, src, s + 1, w, bits)
         monkeypatch.setattr(series, "_shift_add", broken)
         monkeypatch.setattr(families, "_shift_add", broken)
         report = verify_family(family, 40, include_brute=True)
         assert report.status == "FAIL"
         assert report.first_mismatch == (
             n, {"gf": value, "product": 0, "binomial": 0, "brute": value})
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_slot_overflow_fails_against_gf_and_brute(self, monkeypatch, family):
+        # Slots one byte narrower than the narrowest whole-byte width that holds
+        # gf's largest value to n = 60. The first coefficient n that outgrows its
+        # slot carries into the slot above it, that of q^(n-1), so product and
+        # binomial first differ from gf and brute at n - 1.
+        gf = table(family, BRUTE_LIMIT, Route.GF)
+        narrow = 8 * ((max(gf).bit_length() - 1) // 8)
+        n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
+        monkeypatch.setattr(series, "slot_bits", lambda e, order: narrow)
+        monkeypatch.setattr(families, "slot_bits", lambda e, order: narrow)
+        report = verify_family(family, BRUTE_LIMIT, include_brute=True)
+        assert report.status == "FAIL"
+        index, values = report.first_mismatch
+        assert index == n - 1
+        assert values["gf"] == values["brute"] == gf[n - 1] != values["product"] == values["binomial"]
 
     def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
         # psi(q) = f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
@@ -122,6 +140,12 @@ class TestBinaryIdentity:
         report = verify_binary_identity(1, 16)
         assert report.status == "FAIL"
         assert report.first_mismatch[0] == 4
+
+    @pytest.mark.parametrize("m,order", [(2, 0), (2, 1), (51, 50), (10**6, 3)])
+    def test_multiplier_past_order(self, m, order):
+        # No factor (1+q^(2^k m)) reaches the order: both sides are 1.
+        report = verify_binary_identity(m, order)
+        assert report.passed and report.order == order
 
     def test_subject_names_the_multiplier(self):
         assert verify_binary_identity(7, 10).subject == "binary-identity m=7"
