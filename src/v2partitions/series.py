@@ -183,6 +183,8 @@ def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
+    if len(e) <= order:
+        raise ValueError("e must give an exponent for every n <= order")
     bits = slot_bits(e, order)
     c = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
     for n in compress(range(1, order + 1), e[1:order + 1]):

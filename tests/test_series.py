@@ -166,6 +166,10 @@ class TestProductPower:
         expected = [count_with(n, distinct_parts) for n in range(4)]
         assert list(got.coeffs) == expected == [1, 1, 1, 2]
 
+    def test_short_exponent_list_rejected(self):
+        with pytest.raises(ValueError, match="every n <= order"):
+            product_power([0, 1], 2)
+
     @pytest.mark.parametrize("N", [0, 1, 10, 50, 200])
     def test_euler_identity(self, N):
         # (-q;q) = 1/(q;q^2)
@@ -200,6 +204,6 @@ class TestPackedKernel:
     @pytest.mark.parametrize("order", [0, 1, 5])
     def test_shift_past_order_returns_dst(self, order):
         bits = 16
-        packed = sum(k + 1 << (order - k) * bits for k in range(order + 1))
+        packed = sum((k + 1) << (order - k) * bits for k in range(order + 1))  # c_k = k + 1
         for s in [order + 1, order + 2, 10**6]:
             assert _shift_add(packed, packed, s, 7, bits) == packed
