@@ -10,7 +10,6 @@ from .families import (
     CappedPartition,
     FAMILIES,
     Route,
-    binomial_sum,
     binomial_table,
     brute_force_count,
     enumerate_capped,
@@ -18,15 +17,14 @@ from .families import (
     product_series,
     table,
 )
-from .series import PochhammerSpec, TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
-from .valuation import FamilyId, Valuation, exponent, v2
+from .series import TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
+from .valuation import FamilyId, exponent
 from .verify import RemarkTrace, VerificationReport, remark_trace, verify_binary_identity, verify_family
 
 __all__ = [
-    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "PochhammerSpec",
-    "RemarkTrace", "Route", "TruncatedSeries", "Valuation", "VerificationReport",
-    "binomial_sum", "binomial_table", "brute_force_count", "enumerate_capped",
-    "exponent", "gf_series", "mul", "one", "pochhammer", "product_power",
-    "product_series", "reciprocal", "remark_trace", "table", "v2",
-    "verify_binary_identity", "verify_family",
+    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "RemarkTrace", "Route",
+    "TruncatedSeries", "VerificationReport", "binomial_table", "brute_force_count",
+    "enumerate_capped", "exponent", "gf_series", "mul", "one", "pochhammer", "product_power",
+    "product_series", "reciprocal", "remark_trace", "table", "verify_binary_identity",
+    "verify_family",
 ]

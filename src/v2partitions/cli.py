@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .families import BRUTE_LIMIT, MAX_ORDER, Route, table
 from .valuation import FamilyId
@@ -30,14 +29,10 @@ _DECIMAL = re.compile(r"-?[0-9]+")  # a b-file field; int() alone also takes "1_
 _FIELD_SEP = re.compile(r"[ \t]+")  # str.split() would also split on \v \f and 0x1c-0x1f
 
 
-@dataclass(frozen=True)
-class BFileEntry:
-    index: int
-    value: int
-
-
-def parse_bfile(path: str) -> list[BFileEntry]:
+def parse_bfile(path: str) -> list[tuple[int, int]]:
     """Parse an OEIS-style b-file: lines "<n> <value>", '#' comments, blanks ignored.
+
+    Returns the (index, value) pairs in file order.
 
     Raises ValueError, prefixed with the path, when the file cannot be read or
     a line is malformed, non-ASCII or non-increasing (with its line number).
@@ -47,7 +42,7 @@ def parse_bfile(path: str) -> list[BFileEntry]:
             data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    entries: list[BFileEntry] = []
+    entries: list[tuple[int, int]] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         where = f"{path}: line {lineno}"
         try:  # ASCII only, so no Unicode space (e.g. U+00A0) separates fields
@@ -68,9 +63,9 @@ def parse_bfile(path: str) -> list[BFileEntry]:
             raise ValueError(f"{where}: non-integer field in {line!r}") from None
         if index < 0:
             raise ValueError(f"{where}: negative index {index}")
-        if entries and index <= entries[-1].index:
+        if entries and index <= entries[-1][0]:
             raise ValueError(f"{where}: index {index} not strictly increasing")
-        entries.append(BFileEntry(index, value))
+        entries.append((index, value))
     return entries
 
 
@@ -88,7 +83,7 @@ def _emit_table(out, family: FamilyId, values: list[int], route: Route, fmt: str
 
 
 def cmd_table(args) -> int:
-    family = FamilyId.from_token(args.family)
+    family = FamilyId(args.family)
     route = Route(args.route)
     values = table(family, args.limit, route)
     _emit_table(sys.stdout, family, values, route, args.format)
@@ -129,8 +124,13 @@ def cmd_verify(args) -> int:
     if args.families == "all":
         families = list(FamilyId)
     else:
-        # dict.fromkeys drops repeated tokens and keeps the first-named order
-        families = [FamilyId.from_token(tok) for tok in dict.fromkeys(args.families.split(","))]
+        # argparse does not check these tokens. dict.fromkeys drops repeated
+        # tokens and keeps the first-named order.
+        families = []
+        for tok in dict.fromkeys(args.families.split(",")):
+            if tok not in FAMILY_TOKENS:
+                raise ValueError(f"unknown family {tok!r}")
+            families.append(FamilyId(tok))
     families_pass = sweep_pass = True
     for family in families:
         report = verify_family(family, args.limit, include_brute=args.brute)
@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_remark(args) -> int:
-    family = FamilyId.from_token(args.family)
+    family = FamilyId(args.family)
     trace = remark_trace(family, args.n)
     rows = [f"{'+'.join(map(str, partition.parts()))}  {term} = {partition.weight}\n"
             for partition, term in trace.lines]
@@ -158,17 +158,17 @@ def cmd_remark(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    family = FamilyId.from_token(args.family)
+    family = FamilyId(args.family)
     route = Route(args.route)
     entries = parse_bfile(args.bfile)
     limit = BRUTE_LIMIT if route is Route.BRUTE else MAX_ORDER
-    comparable = [e for e in entries if e.index <= limit]
-    skipped = [e for e in entries if e.index > limit]
-    values = table(family, comparable[-1].index, route) if comparable else []
-    rows = [f"{e.index}: MATCH {e.value}\n" if values[e.index] == e.value else
-            f"{e.index}: MISMATCH file={e.value} computed={values[e.index]}\n" for e in comparable]
-    mismatches = sum(values[e.index] != e.value for e in comparable)
-    rows += [f"{e.index}: SKIPPED (beyond {route.value} route limit {limit})\n" for e in skipped]
+    comparable = [(n, v) for n, v in entries if n <= limit]
+    skipped = [n for n, _ in entries if n > limit]
+    values = table(family, comparable[-1][0], route) if comparable else []
+    rows = [f"{n}: MATCH {v}\n" if values[n] == v else
+            f"{n}: MISMATCH file={v} computed={values[n]}\n" for n, v in comparable]
+    mismatches = sum(values[n] != v for n, v in comparable)
+    rows += [f"{n}: SKIPPED (beyond {route.value} route limit {limit})\n" for n in skipped]
     rows.append(f"summary: {len(comparable)} compared, {mismatches} mismatched, "
                 f"{len(skipped)} skipped\n")
     sys.stdout.write("".join(rows))

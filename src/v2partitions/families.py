@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import comb, isqrt
 
-from .series import (PochhammerSpec, TruncatedSeries, _divide, _shift_add, _unpack, one, pochhammer,
-                     product_power, slot_bits)
+from .series import TruncatedSeries, _divide, _shift_add, _unpack, one, pochhammer, product_power, slot_bits
 from .valuation import FamilyId, exponent
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
@@ -74,7 +73,7 @@ def sparse_side(side: Side, order: int) -> TruncatedSeries:
         return one(order)
     kind, k = side
     if kind == "f":
-        return pochhammer(PochhammerSpec(sign=1, offset=k, step=k), order)
+        return pochhammer(k, order)
     c = [0] * (order + 1)
     c[0] = 1
     if kind == "phi":  # phi(-q^k) = sum_n (-1)^n q^(k n^2), n and -n together
@@ -126,13 +125,6 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
         for t in range(1, min(cap, order // k) + 1):
             dp = _shift_add(dp, before, k * t, comb(cap, t), bits)
     return _unpack(dp, order, bits)
-
-
-def binomial_sum(family: FamilyId, n: int) -> int:
-    """Sum of prod_k C(v(k), t_k) over multiplicity vectors with sum k*t_k = n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return binomial_table(family, n)[n]
 
 
 def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:

@@ -39,24 +39,6 @@ class TruncatedSeries:
         return self.coeffs[i]
 
 
-@dataclass(frozen=True)
-class PochhammerSpec:
-    """(L; q^step)_inf with L = sign * q^offset, i.e. factors (1 - sign*q^(offset + s*step)).
-
-    sign=+1 gives factors (1 - q^m), sign=-1 gives (1 + q^m).
-    """
-
-    sign: int
-    offset: int
-    step: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.offset < 1 or self.step < 1:
-            raise ValueError("offset and step must be >= 1")
-
-
 def one(order: int) -> TruncatedSeries:
     """The multiplicative identity 1 at the given truncation order."""
     if order < 0:
@@ -147,31 +129,23 @@ def _unpack(x: int, order: int, bits: int) -> list[int]:
     return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
 
 
-def pochhammer(spec: PochhammerSpec, order: int) -> TruncatedSeries:
-    """Expand prod_{s>=0} (1 - sign*q^(offset + s*step)) mod q^(order+1).
+def pochhammer(k: int, order: int) -> TruncatedSeries:
+    """f_k = (q^k; q^k)_inf mod q^(order+1), written from the pentagonal number theorem.
 
-    (q^k; q^k)_inf (sign 1, offset = step = k) is the pentagonal series
-    sum_j (-1)^j q^(k*j*(3j-1)/2) over all integers j, written directly.
-    Any other spec is expanded factor by factor; only the finitely many
-    factors with exponent <= order matter.
+    f_k = sum_j (-1)^j q^(k*j*(3j-1)/2) over all integers j.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("order must be non-negative")
     c = [0] * (order + 1)
     c[0] = 1
-    if spec.sign == 1 and spec.offset == spec.step:
-        k, j = spec.step, 1
-        while k * j * (3 * j - 1) // 2 <= order:
-            for e in (k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2):
-                if e <= order:
-                    c[e] = -1 if j % 2 else 1
-            j += 1
-        return TruncatedSeries(tuple(c))
-    m = spec.offset
-    while m <= order:
-        for k in range(order, m - 1, -1):  # downward, so c[k - m] is not yet updated
-            c[k] -= spec.sign * c[k - m]
-        m += spec.step
+    j = 1
+    while k * j * (3 * j - 1) // 2 <= order:
+        for e in (k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2):
+            if e <= order:
+                c[e] = -1 if j % 2 else 1
+        j += 1
     return TruncatedSeries(tuple(c))
 
 

@@ -1,14 +1,13 @@
-"""2-adic valuations and the per-family exponent rules v(n).
+"""The per-family exponent rules v(n), built from 2-adic valuations.
 
 Every product representation used in this package has the shape
 prod_{n>=1} (1+q^n)^{v(n)} where v(n) is built from 2-adic valuations;
-this module owns both v_2 itself and the five family-specific rules.
+this module owns the five family-specific rules.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class FamilyId(enum.Enum):
@@ -19,56 +18,6 @@ class FamilyId(enum.Enum):
     PD = "pd"    # distinct parts (equivalently: odd parts)
     POD = "pod"  # distinct odd parts, even parts free
     PE = "pe"    # even parts only
-
-    @classmethod
-    def from_token(cls, token: str) -> "FamilyId":
-        for fam in cls:
-            if fam.value == token:
-                return fam
-        raise ValueError(f"unknown family {token!r}")
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """A 2-adic valuation: finite exponent, or the infinite value v2(0).
-
-    The infinite case is a first-class variant (exponent access raises)
-    so it can never silently leak into exponent arithmetic.
-    """
-
-    _exponent: int | None
-
-    @classmethod
-    def finite(cls, exponent: int) -> "Valuation":
-        if exponent < 0:
-            raise ValueError("valuation exponent must be non-negative")
-        return cls(exponent)
-
-    @classmethod
-    def infinite(cls) -> "Valuation":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._exponent is None
-
-    @property
-    def exponent(self) -> int:
-        if self._exponent is None:
-            raise ValueError("infinite valuation has no finite exponent")
-        return self._exponent
-
-    def __repr__(self) -> str:
-        return "Valuation.infinite()" if self.is_infinite else f"Valuation.finite({self._exponent})"
-
-
-def v2(n: int) -> Valuation:
-    """2-adic valuation of n >= 0: largest e with 2^e | n; v2(0) is infinite."""
-    if n < 0:
-        raise ValueError("v2 is defined for non-negative integers only")
-    if n == 0:
-        return Valuation.infinite()
-    return Valuation.finite((n & -n).bit_length() - 1)
 
 
 # exponent() runs once per n on the product and binomial routes; comparing
@@ -81,8 +30,8 @@ def exponent(family: FamilyId, n: int) -> int:
     """Exponent v(n) of (1+q^n) in the product representation of `family`.
 
     v2(4n-2) is computed honestly (not hard-coded to its simplified value 1)
-    so tests can confirm the simplification independently. The valuations
-    use v2's bit trick inline, so no Valuation is allocated per call.
+    so tests can confirm the simplification independently. v2(m) is the bit
+    trick (m & -m).bit_length() - 1, inline, with no helper call per n.
     """
     if n < 1:
         raise ValueError("exponent rules are defined for n >= 1 only")

@@ -87,6 +87,11 @@ def product_expand(factors, order):
     return coeffs
 
 
+def pochhammer_factors(sign, offset, step, order):
+    """(sign*q^offset; q^step)_inf = prod_{s>=0} (1 - sign*q^(offset + s*step)), factor by factor."""
+    return product_expand([{0: 1, m: -sign} for m in range(offset, order + 1, step)], order)
+
+
 def divisor_sum_table(free, distinct, order):
     """a(0..order) of prod_{free d} 1/(1-q^d) * prod_{distinct d} (1+q^d), d >= 1.
 

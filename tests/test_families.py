@@ -7,9 +7,9 @@ from v2partitions import (
     BRUTE_LIMIT,
     FAMILIES,
     FamilyId,
-    PochhammerSpec,
     Route,
-    binomial_sum,
+    TruncatedSeries,
+    binomial_table,
     brute_force_count,
     enumerate_capped,
     exponent,
@@ -40,13 +40,13 @@ def exponent_caps(family, n):
 
 # Each family's generating function as the q-Pochhammer fraction
 # numerator/denominator it was first written as; specs are (sign, offset,
-# step) and None is 1.
+# step) for oracles.pochhammer_factors and None is 1.
 POCHHAMMER_FRACTIONS = {
-    FamilyId.OVERPARTITION_ODD: (PochhammerSpec(-1, 1, 2), PochhammerSpec(1, 1, 2)),
-    FamilyId.PED: (PochhammerSpec(-1, 2, 2), PochhammerSpec(1, 1, 2)),
-    FamilyId.PD: (None, PochhammerSpec(1, 1, 2)),
-    FamilyId.POD: (PochhammerSpec(-1, 1, 2), PochhammerSpec(1, 2, 2)),
-    FamilyId.PE: (None, PochhammerSpec(1, 2, 2)),
+    FamilyId.OVERPARTITION_ODD: ((-1, 1, 2), (1, 1, 2)),
+    FamilyId.PED: ((-1, 2, 2), (1, 1, 2)),
+    FamilyId.PD: (None, (1, 1, 2)),
+    FamilyId.POD: ((-1, 1, 2), (1, 2, 2)),
+    FamilyId.PE: (None, (1, 2, 2)),
 }
 
 
@@ -76,13 +76,17 @@ class TestGfSeries:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_eta_quotient_equals_pochhammer_fraction(self, family):
-        # (-q;q^2), (-q^2;q^2), (q;q^2) and (q^2;q^2) have offset != step, so
-        # pochhammer expands them factor by factor, not as pentagonal series.
+        # (-q;q^2), (-q^2;q^2), (q;q^2) and (q^2;q^2) are expanded factor by
+        # factor, not as pentagonal series.
         N = 500
+
+        def expand(spec):
+            return TruncatedSeries(tuple(oracles.pochhammer_factors(*spec, N)))
+
         numerator, denominator = POCHHAMMER_FRACTIONS[family]
-        dense = reciprocal(pochhammer(denominator, N), N)
+        dense = reciprocal(expand(denominator), N)
         if numerator is not None:
-            dense = mul(pochhammer(numerator, N), dense, N)
+            dense = mul(expand(numerator), dense, N)
         assert gf_series(family, N) == dense
 
     @pytest.mark.parametrize("side,eta", [
@@ -98,7 +102,7 @@ class TestGfSeries:
         N = 2000
         numerator, denominator = one(N), one(N)
         for k, e in eta.items():
-            f_k = pochhammer(PochhammerSpec(1, k, k), N)
+            f_k = pochhammer(k, N)
             for _ in range(abs(e)):
                 if e > 0:
                     numerator = mul(f_k, numerator, N)
@@ -128,11 +132,11 @@ class TestBinomialSum:
         (FamilyId.PE, 8, 5),
     ])
     def test_worked_values(self, family, n, expected):
-        assert binomial_sum(family, n) == expected
+        assert binomial_table(family, n)[n] == expected
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_empty_partition(self, family):
-        assert binomial_sum(family, 0) == 1
+        assert binomial_table(family, 0) == [1]
 
 
 class TestEnumerateCapped:
@@ -166,7 +170,7 @@ class TestEnumerateCapped:
     @pytest.mark.parametrize("n", range(1, 26))
     def test_weight_sum_equals_binomial_sum(self, family, n):
         got = enumerate_capped(n, exponent_caps(family, n))
-        assert sum(p.weight for p in got) == binomial_sum(family, n)
+        assert sum(p.weight for p in got) == binomial_table(family, n)[n]
 
     @settings(max_examples=40, deadline=None)
     @given(caps=st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=30))
@@ -317,7 +321,7 @@ class TestRouteEquivalence:
         # p_e(2n) = p(n), p_e(odd) = 0
         N = 100
         pe = product_series(FamilyId.PE, 2 * N)
-        p = reciprocal(pochhammer(PochhammerSpec(sign=1, offset=1, step=1), N), N)
+        p = reciprocal(pochhammer(1, N), N)
         for n in range(N + 1):
             assert pe[2 * n] == p[n]
         assert all(pe[k] == 0 for k in range(1, 2 * N + 1, 2))

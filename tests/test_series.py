@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2partitions import PochhammerSpec, TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
+from v2partitions import TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
 from v2partitions.series import _divide, _shift_add, _unpack
 
-from oracles import count_with, distinct_parts, partition_count, product_expand
+from oracles import count_with, distinct_parts, partition_count, pochhammer_factors, product_expand
 
 
 def series(*coeffs):
@@ -111,23 +111,26 @@ class TestReciprocal:
         # 1/(q;q) generates p(n); oracle: literal partition enumeration
         expected = [partition_count(n) for n in range(11)]
         assert expected == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-        qq = pochhammer(PochhammerSpec(sign=1, offset=1, step=1), 10)
+        qq = pochhammer(1, 10)
         assert list(reciprocal(qq, 10).coeffs) == expected
 
 
 class TestPochhammer:
     def test_distinct_odd_parts(self):
-        # (-q;q^2): coefficient of q^n counts partitions into distinct odd parts
-        got = pochhammer(PochhammerSpec(sign=-1, offset=1, step=2), 4)
+        # (-q;q^2) = f2^2/(f1 f4): coefficient of q^n counts partitions into distinct odd parts
+        N = 12
+        f1, f2, f4 = (pochhammer(k, N) for k in (1, 2, 4))
+        got = mul(mul(f2, f2, N), reciprocal(mul(f1, f4, N), N), N)
         expected = [count_with(n, lambda p: distinct_parts(p) and all(k % 2 for k in p))
-                    for n in range(5)]
-        assert list(got.coeffs) == expected == [1, 1, 0, 1, 1]
+                    for n in range(N + 1)]
+        assert list(got.coeffs) == expected
+        assert expected[:5] == [1, 1, 0, 1, 1]
 
     def test_euler_function(self):
         # (q;q) to order 7, cross-checked by factor-by-factor expansion
         factors = [{0: 1, m: -1} for m in range(1, 8)]
         expected = product_expand(factors, 7)
-        got = pochhammer(PochhammerSpec(sign=1, offset=1, step=1), 7)
+        got = pochhammer(1, 7)
         assert list(got.coeffs) == expected == [1, -1, -1, 0, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -135,25 +138,23 @@ class TestPochhammer:
         # (q^k;q^k) is written from the pentagonal number theorem, not expanded
         N = 300
         factors = [{0: 1, k * m: -1} for m in range(1, N // k + 1)]
-        got = pochhammer(PochhammerSpec(sign=1, offset=k, step=k), N)
+        got = pochhammer(k, N)
         assert list(got.coeffs) == product_expand(factors, N)
 
     def test_empty_effective_product(self):
-        assert pochhammer(PochhammerSpec(sign=1, offset=9, step=2), 4) == one(4)
+        assert pochhammer(9, 4) == one(4)  # (1 - q^9)(1 - q^18)... is 1 below q^9
 
     def test_negated_pair_gives_even_step(self):
         # (-q;q)(q;q) = (q^2;q^2)
         N = 200
-        lhs = mul(pochhammer(PochhammerSpec(sign=-1, offset=1, step=1), N),
-                  pochhammer(PochhammerSpec(sign=1, offset=1, step=1), N), N)
-        rhs = pochhammer(PochhammerSpec(sign=1, offset=2, step=2), N)
-        assert lhs == rhs
+        lhs = mul(series(*pochhammer_factors(-1, 1, 1, N)), pochhammer(1, N), N)
+        assert lhs == pochhammer(2, N)
 
-    def test_bad_spec_rejected(self):
+    @pytest.mark.parametrize("k,order", [(0, 5), (-1, 5), (1, -1)])
+    def test_bad_arguments_rejected(self, k, order):
+        # k = 0 would never leave the pentagonal loop, since 0 <= order
         with pytest.raises(ValueError):
-            PochhammerSpec(sign=2, offset=1, step=2)
-        with pytest.raises(ValueError):
-            PochhammerSpec(sign=1, offset=0, step=2)
+            pochhammer(k, order)
 
 
 class TestProductPower:
@@ -174,7 +175,7 @@ class TestProductPower:
     def test_euler_identity(self, N):
         # (-q;q) = 1/(q;q^2)
         lhs = product_power([0] + [1] * N, N)
-        rhs = reciprocal(pochhammer(PochhammerSpec(sign=1, offset=1, step=2), N), N)
+        rhs = reciprocal(series(*pochhammer_factors(1, 1, 2, N)), N)
         assert lhs == rhs
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

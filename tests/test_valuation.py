@@ -1,41 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from v2partitions import FamilyId, Valuation, exponent, v2
+from v2partitions import FamilyId, exponent
 
 from oracles import v2_by_division
 
 
 class TestV2:
-    def test_odd_numbers_have_valuation_zero(self):
-        assert v2(1) == Valuation.finite(0)
-        assert v2(17) == Valuation.finite(0)
-
-    def test_worked_values(self):
-        assert v2(8) == Valuation.finite(3)
-        assert v2(18) == Valuation.finite(1)
-
-    def test_zero_is_infinite(self):
-        assert v2(0).is_infinite
-        with pytest.raises(ValueError):
-            v2(0).exponent
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            v2(-4)
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_matches_repeated_halving(self, n):
-        assert v2(n).exponent == v2_by_division(n)
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_doubling_adds_one(self, n):
-        assert v2(2 * n).exponent == 1 + v2(n).exponent
-
     @given(st.integers(min_value=1, max_value=10**6))
     def test_4n_minus_2_has_valuation_one(self, n):
         # 4n-2 = 2*(2n-1) with 2n-1 odd
-        assert v2(4 * n - 2) == Valuation.finite(1)
+        assert v2_by_division(4 * n - 2) == 1
 
 
 class TestExponentRules:
@@ -75,12 +50,13 @@ class TestExponentRules:
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_matches_rules_built_from_v2(self, family):
-        # the rules as the paper states them, through the public Valuation form
+        # the rules as the paper states them, with v2 by repeated halving
+        v2 = v2_by_division
         rule = {
-            FamilyId.OVERPARTITION_ODD: lambda n: v2(4 * n - 2).exponent + n % 2,
-            FamilyId.PED: lambda n: v2(4 * n - 2).exponent + 1 - n % 2,
-            FamilyId.PD: lambda n: v2(4 * n - 2).exponent,
-            FamilyId.POD: lambda n: v2(4 * n - 2 if n % 2 else n).exponent,
-            FamilyId.PE: lambda n: v2(n).exponent,
+            FamilyId.OVERPARTITION_ODD: lambda n: v2(4 * n - 2) + n % 2,
+            FamilyId.PED: lambda n: v2(4 * n - 2) + 1 - n % 2,
+            FamilyId.PD: lambda n: v2(4 * n - 2),
+            FamilyId.POD: lambda n: v2(4 * n - 2 if n % 2 else n),
+            FamilyId.PE: lambda n: v2(n),
         }[family]
         assert all(exponent(family, n) == rule(n) for n in range(1, 10**4 + 1))

@@ -1,6 +1,6 @@
 import pytest
 
-from v2partitions import (BRUTE_LIMIT, FamilyId, Route, binomial_sum, remark_trace, table,
+from v2partitions import (BRUTE_LIMIT, FamilyId, Route, binomial_table, remark_trace, table,
                           verify_binary_identity, verify_family)
 from v2partitions import cli, families, series, verify
 
@@ -173,7 +173,7 @@ class TestRemarkTrace:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
     def test_total_matches_binomial_sum(self, family, n):
-        assert remark_trace(family, n).total == binomial_sum(family, n)
+        assert remark_trace(family, n).total == binomial_table(family, n)[n]
 
     def test_policy_bound(self):
         with pytest.raises(ValueError):
