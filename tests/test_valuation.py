@@ -7,6 +7,36 @@ from oracles import v2_by_division
 
 
 class TestV2:
+    # exponent computes v2 inline; pe's rule is v2(n) itself, so these read
+    # v2 through exponent(FamilyId.PE, n)
+
+    def test_odd_numbers_have_valuation_zero(self):
+        assert exponent(FamilyId.PE, 1) == 0
+        assert exponent(FamilyId.PE, 17) == 0
+
+    def test_worked_values(self):
+        assert exponent(FamilyId.PE, 8) == 3
+        assert exponent(FamilyId.PE, 18) == 1
+
+    def test_zero_is_infinite(self):
+        # v2(0) is infinite, and the bit trick would give -1: both refuse 0
+        with pytest.raises(ValueError):
+            exponent(FamilyId.PE, 0)
+        with pytest.raises(ValueError):
+            v2_by_division(0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            exponent(FamilyId.PE, -4)
+
+    @given(st.integers(min_value=1, max_value=10**9))
+    def test_matches_repeated_halving(self, n):
+        assert exponent(FamilyId.PE, n) == v2_by_division(n)
+
+    @given(st.integers(min_value=1, max_value=10**9))
+    def test_doubling_adds_one(self, n):
+        assert exponent(FamilyId.PE, 2 * n) == 1 + exponent(FamilyId.PE, n)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_4n_minus_2_has_valuation_one(self, n):
         # 4n-2 = 2*(2n-1) with 2n-1 odd
