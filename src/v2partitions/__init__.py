@@ -19,12 +19,11 @@ from .families import (
 )
 from .series import TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
 from .valuation import FamilyId, exponent
-from .verify import RemarkTrace, VerificationReport, remark_trace, verify_binary_identity, verify_family
+from .verify import remark_trace, verify_binary_identity, verify_family
 
 __all__ = [
-    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "RemarkTrace", "Route",
-    "TruncatedSeries", "VerificationReport", "binomial_table", "brute_force_count",
-    "enumerate_capped", "exponent", "gf_series", "mul", "one", "pochhammer", "product_power",
-    "product_series", "reciprocal", "remark_trace", "table", "verify_binary_identity",
-    "verify_family",
+    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "Route", "TruncatedSeries",
+    "binomial_table", "brute_force_count", "enumerate_capped", "exponent", "gf_series", "mul",
+    "one", "pochhammer", "product_power", "product_series", "reciprocal", "remark_trace",
+    "table", "verify_binary_identity", "verify_family",
 ]

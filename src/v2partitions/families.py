@@ -135,6 +135,11 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if len(caps) <= n:
+        raise ValueError(f"caps must give a cap for every part k <= {n}")
+    if min(caps) < 0:  # it would lower `reach` below what the other parts can sum to
+        k = next(k for k, cap in enumerate(caps) if cap < 0)
+        raise ValueError(f"cap {caps[k]} of part {k} is negative")
     results: list[CappedPartition] = []
     reach = list(accumulate(k * cap for k, cap in enumerate(caps)))  # most parts <= k can sum to
 

@@ -159,6 +159,9 @@ def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
         raise ValueError("order must be non-negative")
     if len(e) <= order:
         raise ValueError("e must give an exponent for every n <= order")
+    if min(e[1:order + 1], default=0) < 0:  # a division: the passes would skip the factor
+        n = next(n for n in range(1, order + 1) if e[n] < 0)
+        raise ValueError(f"exponent {e[n]} at n = {n} is negative")
     bits = slot_bits(e, order)
     c = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
     for n in compress(range(1, order + 1), e[1:order + 1]):

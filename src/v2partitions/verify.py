@@ -1,77 +1,50 @@
 """Machine-checkable verification of the product/binomial identities.
 
-Produces immutable reports: cross-route coefficient comparison per family,
-the binary-expansion identity 1/(1-q^m) = prod(1+q^(2^k m)), and rendered
-capped-partition tableaux with binomial weights.
+Produces the reports that `verify` prints: cross-route coefficient comparison
+per family and the binary-expansion identity 1/(1-q^m) = prod(1+q^(2^k m)),
+plus the `remark` tableau of capped partitions with binomial weights.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .families import (BRUTE_LIMIT, MAX_ORDER, CappedPartition, Route, binomial_table, enumerate_capped,
-                       exponents, table)
+from .families import BRUTE_LIMIT, MAX_ORDER, Route, binomial_table, enumerate_capped, exponents, table
 from .series import product_power
 from .valuation import FamilyId
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one coefficient-by-coefficient comparison.
-
-    `subject` is the family token, or "binary-identity m=<m>" for the binary
-    identity. In `first_mismatch`, a route whose table ends before n shows
-    None. `elapsed_ms` is excluded from any equality used in tests.
-    """
-
-    subject: str
-    order: int
-    routes_compared: tuple[str, ...]
-    status: str  # "PASS" | "FAIL"
-    first_mismatch: tuple[int, dict[str, int | None]] | None
-    elapsed_ms: float
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-
-@dataclass(frozen=True)
-class RemarkTrace:
-    """A capped-partition tableau: one weighted line per partition, plus the total."""
-
-    lines: tuple[tuple[CappedPartition, str], ...]
-    total: int
-
-
-def _compare_tables(tables: dict[str, list[int]]) -> tuple[int, dict[str, int | None]] | None:
+def _first_mismatch(tables: dict[str, list[int]]) -> dict | None:
     # Whole-list == runs in C; the per-index walk runs only to locate a mismatch.
     first = next(iter(tables.values()))
     if all(t == first for t in tables.values()):
         return None
     for n, values in enumerate(zip_longest(*tables.values())):
         if values.count(values[0]) != len(values):
-            return (n, dict(zip(tables, values)))
+            return {"n": n, "values": {route: None if v is None else str(v)
+                                       for route, v in zip(tables, values)}}
     return None
 
 
-def _report(subject: str, order: int, tables: dict[str, list[int]], start: float) -> VerificationReport:
-    # Every report is built here: the compared routes are the tables' keys, and
-    # elapsed_ms runs from `start` to the end of the comparison.
-    mismatch = _compare_tables(tables)
-    return VerificationReport(
-        subject=subject,
-        order=order,
-        routes_compared=tuple(tables),
-        status="PASS" if mismatch is None else "FAIL",
-        first_mismatch=mismatch,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
+def _report(subject: str, order: int, tables: dict[str, list[int]], start: float) -> dict:
+    """The report `verify --format json` prints, with its keys in that order.
+
+    Every report is built here: the compared routes are the tables' keys, and
+    elapsed_ms runs from `start` to the end of the comparison. In
+    first_mismatch, present on FAIL only, values are decimal strings and a
+    route whose table ends before n shows None.
+    """
+    mismatch = _first_mismatch(tables)
+    report = {"subject": subject, "order": order, "routes": list(tables),
+              "status": "PASS" if mismatch is None else "FAIL",
+              "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3)}
+    if mismatch is not None:
+        report["first_mismatch"] = mismatch
+    return report
 
 
-def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> VerificationReport:
+def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> dict:
     """Compare GF, PRODUCT and BINOMIAL (optionally BRUTE) tables up to `order`."""
     if include_brute and order > BRUTE_LIMIT:
         raise ValueError(f"brute-force comparison is limited to order <= {BRUTE_LIMIT}")
@@ -83,7 +56,7 @@ def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> 
     return _report(family.value, order, tables, start)
 
 
-def verify_binary_identity(m: int, order: int) -> VerificationReport:
+def verify_binary_identity(m: int, order: int) -> dict:
     """Check 1/(1-q^m) = prod_{k>=0} (1+q^(2^k m)) at the given truncation order."""
     if m < 1:
         raise ValueError("m must be positive")
@@ -102,17 +75,23 @@ def verify_binary_identity(m: int, order: int) -> VerificationReport:
     return _report(f"binary-identity m={m}", order, tables, start)
 
 
-def remark_trace(family: FamilyId, n: int) -> RemarkTrace:
-    """Render every capped partition of n with its binomial-product weight."""
+def remark_trace(family: FamilyId, n: int) -> list[str]:
+    """The lines that `remark` prints, ending with "total = N".
+
+    One line per capped partition of n with its binomial-product weight, e.g.
+    "3+1+1  C(2,1)*C(2,2) = 2"; N is the sum of the weights.
+    """
     if n < 1 or n > BRUTE_LIMIT:
         raise ValueError(f"remark tableaux are limited to 1 <= n <= {BRUTE_LIMIT}")
     caps = exponents(family, n)
     partitions = enumerate_capped(n, caps)
-    lines = tuple((p, "*".join(f"C({caps[k]},{t})" for k, t in p.terms)) for p in partitions)
     total = sum(p.weight for p in partitions)
     expected = binomial_table(family, n)[n]
     if total != expected:
         raise AssertionError(
             f"tableau total {total} disagrees with binomial DP {expected} "
             f"for {family.value} at n={n}")
-    return RemarkTrace(lines, total)
+    lines = [f"{'+'.join(map(str, p.parts()))}  "
+             f"{'*'.join(f'C({caps[k]},{t})' for k, t in p.terms)} = {p.weight}" for p in partitions]
+    lines.append(f"total = {total}")
+    return lines

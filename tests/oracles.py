@@ -2,10 +2,13 @@
 
 Everything here enumerates partitions literally (no series arithmetic,
 no DP shared with the package) so expected values are computed by a
-genuinely separate path.
+genuinely separate path. `eta_exponents` reads the FAMILIES quotients, the
+data under test, and expands no series.
 """
 
 from itertools import count
+
+from v2partitions.families import FAMILIES
 
 
 def partitions(n, max_part=None):
@@ -115,3 +118,30 @@ def divisor_sum_table(free, distinct, order):
             raise AssertionError(f"divisor sum {total} at n={n} is not a multiple of n")
         a[n] = total // n
     return a
+
+
+def side_eta(side):
+    """A FAMILIES side as an eta quotient {k: power of f_k}.
+
+    phi(-q^k) = f_k^2/f_2k (Gauss), psi(q) = f2^2/f1 and psi(-q) = f1 f4/f2;
+    tests/test_families.py pins each against the closed form to N = 2000.
+    """
+    if side is None:
+        return {}
+    kind, k = side
+    if kind == "f":
+        return {k: 1}
+    if kind == "phi":
+        return {k: 2, 2 * k: -1}
+    return {1: 1, 4: 1, 2: -1} if k == -1 else {2: 2, 1: -1}
+
+
+def eta_exponents(family, n):
+    """c(n) in the family's generating function written as prod_{n>=1} (1-q^n)^c(n).
+
+    f_k = prod_m (1-q^(km)) adds its power to c(n) at every n that k divides;
+    the denominator's f_k subtract theirs.
+    """
+    numerator, denominator = FAMILIES[family]
+    return (sum(e for k, e in side_eta(numerator).items() if n % k == 0)
+            - sum(e for k, e in side_eta(denominator).items() if n % k == 0))

@@ -1,4 +1,6 @@
 from functools import cache
+from itertools import chain, count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,21 @@ ALL_FAMILIES = list(FamilyId)
 
 def test_every_exported_name_resolves():
     assert [name for name in v2partitions.__all__ if not hasattr(v2partitions, name)] == []
+
+
+def test_readme_library_example_holds():
+    # Each "# <value>" comment in README's Library block is the repr of its line's value.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, value = line.partition("  # ")
+        if value:
+            assert repr(eval(code, namespace)) == value, line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked > 0
 
 
 def exponent_caps(family, n):
@@ -89,19 +106,15 @@ class TestGfSeries:
             dense = mul(expand(numerator), dense, N)
         assert gf_series(family, N) == dense
 
-    @pytest.mark.parametrize("side,eta", [
-        (("phi", 1), {1: 2, 2: -1}),  # phi(-q) = f1^2/f2 (Gauss)
-        (("phi", 2), {2: 2, 4: -1}),  # phi(-q^2) = f2^2/f4
-        (("psi", 1), {2: 2, 1: -1}),  # psi(q) = f2^2/f1
-        (("psi", -1), {1: 1, 4: 1, 2: -1}),  # psi(-q) = f1 f4/f2
-    ], ids=["phi(-q)", "phi(-q^2)", "psi(q)", "psi(-q)"])
-    def test_theta_series_equals_eta_quotient(self, side, eta):
-        # The identities gf_series rests on, to N = 2000: each closed-form theta
-        # series against its eta quotient, expanded densely with mul and
-        # reciprocal over pentagonal series.
+    @pytest.mark.parametrize("side", [("phi", 1), ("phi", 2), ("psi", 1), ("psi", -1)],
+                             ids=["phi(-q)", "phi(-q^2)", "psi(q)", "psi(-q)"])
+    def test_theta_series_equals_eta_quotient(self, side):
+        # The identities gf_series and oracles.eta_exponents rest on, to N = 2000:
+        # each closed-form theta series against its eta quotient, expanded
+        # densely with mul and reciprocal over pentagonal series.
         N = 2000
         numerator, denominator = one(N), one(N)
-        for k, e in eta.items():
+        for k, e in oracles.side_eta(side).items():
             f_k = pochhammer(k, N)
             for _ in range(abs(e)):
                 if e > 0:
@@ -139,6 +152,33 @@ class TestBinomialSum:
         assert binomial_table(family, 0) == [1]
 
 
+def _first_eta_disagreement(family, rule):
+    # (1+q^n) = (1-q^(2n))/(1-q^n), so prod (1+q^n)^v(n) has c(n) = -v(n) + [2 | n] v(n/2).
+    # README ("The identities for every n") says why these n decide every n.
+    for n in chain(range(1, 20_001), (2 ** j * u for j in range(200) for u in (1, 3, 5, 7))):
+        if -rule(family, n) + (rule(family, n // 2) if n % 2 == 0 else 0) != \
+                oracles.eta_exponents(family, n):
+            return n
+    return None
+
+
+class TestEtaExponents:
+    # Every series with constant term 1 is prod_{n>=1} (1-q^n)^c(n) for exactly one c,
+    # so gf and product expand the same series iff their c(n) agree at every n.
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_exponent_rule_matches_gf_quotient(self, family):
+        assert _first_eta_disagreement(family, exponent) is None
+
+    def test_changed_exponent_rule_fails_at_first_changed_n(self):
+        def changed(family, n):  # pod at even n takes v2(n) + 1
+            return exponent(family, n) + (family is FamilyId.POD and n % 2 == 0)
+
+        first = next(n for n in count(1) if changed(FamilyId.POD, n) != exponent(FamilyId.POD, n))
+        assert first == 2
+        assert _first_eta_disagreement(FamilyId.POD, changed) == first
+        assert _first_eta_disagreement(FamilyId.PE, changed) is None
+
+
 class TestEnumerateCapped:
     @pytest.mark.parametrize("family,n,expected_parts,expected_weights", [
         (FamilyId.OVERPARTITION_ODD, 5,
@@ -171,6 +211,17 @@ class TestEnumerateCapped:
     def test_weight_sum_equals_binomial_sum(self, family, n):
         got = enumerate_capped(n, exponent_caps(family, n))
         assert sum(p.weight for p in got) == binomial_table(family, n)[n]
+
+    def test_short_caps_list_rejected(self):
+        with pytest.raises(ValueError, match="every part k <= 5"):  # not an IndexError
+            enumerate_capped(5, [0, 1])
+
+    def test_negative_cap_rejected(self):
+        # A cap of -1 on part 2 lowered the reach of parts <= 2, which pruned 1+1+1
+        # and listed only (3,).
+        assert [p.parts() for p in enumerate_capped(3, [0, 3, 0, 1])] == [(3,), (1, 1, 1)]
+        with pytest.raises(ValueError, match="cap -1 of part 2 is negative"):
+            enumerate_capped(3, [0, 3, -1, 1])
 
     @settings(max_examples=40, deadline=None)
     @given(caps=st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=30))
@@ -391,7 +442,7 @@ class TestDivisorSumOracle:
 
         monkeypatch.setattr(series, "_shift_add", faulty)
         monkeypatch.setattr(families, "_shift_add", faulty)
-        assert verify_family(family, BRUTE_LIMIT, include_brute=True).passed
+        assert verify_family(family, BRUTE_LIMIT, include_brute=True)["status"] == "PASS"
         # gf, one division of sparse series, never calls the kernel
         assert table(family, ORACLE_N, Route.GF) == clean[Route.GF]
         for route in [Route.PRODUCT, Route.BINOMIAL]:
@@ -411,7 +462,7 @@ class TestDivisorSumOracle:
 
         monkeypatch.setattr(series, "_divide", faulty)
         monkeypatch.setattr(families, "_divide", faulty)
-        assert verify_family(family, BRUTE_LIMIT, include_brute=True).passed
+        assert verify_family(family, BRUTE_LIMIT, include_brute=True)["status"] == "PASS"
         first = _first_difference(table(family, ORACLE_N, Route.GF), clean)
         assert first is not None and first > BRUTE_LIMIT
         with pytest.raises(AssertionError, match=f"gf differs .* at n={first}:"):

@@ -167,9 +167,14 @@ class TestProductPower:
         expected = [count_with(n, distinct_parts) for n in range(4)]
         assert list(got.coeffs) == expected == [1, 1, 1, 2]
 
-    def test_short_exponent_list_rejected(self):
-        with pytest.raises(ValueError, match="every n <= order"):
-            product_power([0, 1], 2)
+    @pytest.mark.parametrize("e,message", [
+        ([0, 1], "every n <= order"),
+        ([0, 2, -1], "at n = 2 is negative"),  # not (1, 2, 1): (1+q)^2/(1+q^2) is 1 + 2q + 0q^2
+        ([0, -1, 0], "at n = 1 is negative"),  # not a math domain error from slot_bits
+    ], ids=["short", "negative-at-2", "negative-at-1"])
+    def test_bad_exponent_list_rejected(self, e, message):
+        with pytest.raises(ValueError, match=message):
+            product_power(e, 2)
 
     @pytest.mark.parametrize("N", [0, 1, 10, 50, 200])
     def test_euler_identity(self, N):
