@@ -9,16 +9,21 @@ Products of factors with non-negative coefficients (the product and
 binomial routes) run packed: c_0..c_N become one int with c_k in the
 `bits`-wide slot N - k, so each pass over the series is a few big-int
 operations. `slot_bits` chooses a width no coefficient can outgrow, and
-`_unpack` reads the slots back.
+`_unpack` reads the slots back: slots of 1, 2, 4 or 8 bytes as machine
+words through `array`, other widths with one `int.from_bytes` per slot.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from math import ceil, exp, log, log1p, pi, sqrt
 from operator import mul as times
+from sys import byteorder
 from typing import Sequence
+
+_WORD_TYPECODE = {array(t).itemsize: t for t in "BHILQ"}  # slot bytes -> array typecode
 
 
 @dataclass(frozen=True)
@@ -122,11 +127,18 @@ def _unpack(x: int, order: int, bits: int) -> list[int]:
     """[c_0, ..., c_order] of a packed series: slot order - k holds c_k.
 
     Bits above the top slot, which only a carry out of a too-narrow slot
-    puts there, are dropped.
+    puts there, are dropped. Slots of 1, 2, 4 or 8 bytes are read as machine
+    words by `array`, in C; other widths take one `int.from_bytes` per slot.
     """
     size, width = bits // 8, (order + 1) * bits
     raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
-    return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+    typecode = _WORD_TYPECODE.get(size)
+    if typecode is None:  # 3, 5, 6, 7 or more than 8 bytes: no machine word fits
+        return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+    words = array(typecode, raw)
+    if byteorder == "little":
+        words.byteswap()  # the slots are big-endian
+    return words.tolist()
 
 
 def pochhammer(k: int, order: int) -> TruncatedSeries:

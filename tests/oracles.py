@@ -3,7 +3,8 @@
 Everything here enumerates partitions literally (no series arithmetic,
 no DP shared with the package) so expected values are computed by a
 genuinely separate path. `eta_exponents` reads the FAMILIES quotients, the
-data under test, and expands no series.
+data under test, and expands no series. `unpack_slots` is the reference
+decoder of the packed kernel's slots, one slot at a time.
 """
 
 from itertools import count
@@ -145,3 +146,13 @@ def eta_exponents(family, n):
     numerator, denominator = FAMILIES[family]
     return (sum(e for k, e in side_eta(numerator).items() if n % k == 0)
             - sum(e for k, e in side_eta(denominator).items() if n % k == 0))
+
+
+def unpack_slots(x, order, bits):
+    """[c_0, ..., c_order] of a packed series, one `int.from_bytes` per slot.
+
+    Slot order - k holds c_k; bits above the top slot are dropped.
+    """
+    size, width = bits // 8, (order + 1) * bits
+    raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
+    return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]

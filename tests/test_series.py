@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from v2partitions import TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
 from v2partitions.series import _divide, _shift_add, _unpack
 
-from oracles import count_with, distinct_parts, partition_count, pochhammer_factors, product_expand
+from oracles import (count_with, distinct_parts, partition_count, pochhammer_factors, product_expand,
+                     unpack_slots)
 
 
 def series(*coeffs):
@@ -197,6 +198,21 @@ class TestPackedKernel:
     def test_slot_layout(self):
         assert _unpack(0x010203, 2, 8) == [1, 2, 3]
         assert _unpack(0x0001_0002_0003, 2, 16) == [1, 2, 3]
+        assert _unpack(0x000001_000002_000003, 2, 24) == [1, 2, 3]
+        assert _unpack(0x00000001_00000002_00000003, 2, 32) == [1, 2, 3]
+        assert _unpack(1 << 128 | 2 << 64 | 3, 2, 64) == [1, 2, 3]
+        assert _unpack(0xFFFFFFFF_FFFFFFFE << 64, 1, 64) == [2**64 - 2, 0]
+
+    # 8, 16, 32 and 64 bits are read as machine words, the other widths slot by slot
+    @pytest.mark.parametrize("bits", range(8, 137, 8))
+    @pytest.mark.parametrize("order", [0, 1, 2, 61, 500])
+    def test_matches_reference_decoder(self, bits, order):
+        rng = random.Random(bits * 1000 + order)
+        for top in [0, 1, rng.getrandbits(70) | 1]:  # junk bits above the top slot
+            x = top << (order + 1) * bits | rng.getrandbits((order + 1) * bits)
+            assert _unpack(x, order, bits) == unpack_slots(x, order, bits)
+        full = (1 << (order + 1) * bits) - 1  # every slot at its maximum
+        assert _unpack(full, order, bits) == [(1 << bits) - 1] * (order + 1)
 
     def test_order_zero(self):
         assert _unpack(1, 0, 8) == [1]

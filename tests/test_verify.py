@@ -71,6 +71,21 @@ class TestVerifyFamily:
         assert report["first_mismatch"]["n"] == n - 1
         assert values["gf"] == values["brute"] == str(gf[n - 1]) != values["product"] == values["binomial"]
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_slot_overflow_in_slot_by_slot_widths_fails_against_gf(self, monkeypatch, family):
+        # 8- and 16-bit slots are read as machine words, 24-bit slots one at a
+        # time. gf first outgrows 24 bits at n = 95 to 162, depending on the family.
+        order, narrow = 170, 24
+        gf = table(family, order, Route.GF)
+        n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
+        monkeypatch.setattr(series, "slot_bits", lambda e, order: narrow)
+        monkeypatch.setattr(families, "slot_bits", lambda e, order: narrow)
+        report = verify_family(family, order)
+        assert report["status"] == "FAIL"
+        values = report["first_mismatch"]["values"]
+        assert report["first_mismatch"]["n"] == n - 1
+        assert values["gf"] == str(gf[n - 1]) != values["product"] == values["binomial"]
+
     def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
         # psi(q) = f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
         # the q^2 coefficient of ped's gf flips.
