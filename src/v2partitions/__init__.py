@@ -7,7 +7,6 @@ routes whose coefficient-by-coefficient agreement is machine-verified.
 
 from .families import (
     BRUTE_LIMIT,
-    CappedPartition,
     FAMILIES,
     Route,
     binomial_table,
@@ -17,13 +16,13 @@ from .families import (
     product_series,
     table,
 )
-from .series import TruncatedSeries, mul, one, pochhammer, product_power, reciprocal
+from .series import TruncatedSeries, mul, pochhammer, product_power, reciprocal
 from .valuation import FamilyId, exponent
 from .verify import remark_trace, verify_binary_identity, verify_family
 
 __all__ = [
-    "BRUTE_LIMIT", "CappedPartition", "FAMILIES", "FamilyId", "Route", "TruncatedSeries",
-    "binomial_table", "brute_force_count", "enumerate_capped", "exponent", "gf_series", "mul",
-    "one", "pochhammer", "product_power", "product_series", "reciprocal", "remark_trace",
-    "table", "verify_binary_identity", "verify_family",
+    "BRUTE_LIMIT", "FAMILIES", "FamilyId", "Route", "TruncatedSeries", "binomial_table",
+    "brute_force_count", "enumerate_capped", "exponent", "gf_series", "mul", "pochhammer",
+    "product_power", "product_series", "reciprocal", "remark_trace", "table",
+    "verify_binary_identity", "verify_family",
 ]

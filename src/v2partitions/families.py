@@ -14,11 +14,10 @@ performed by the `verify` module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import comb, isqrt
 
-from .series import TruncatedSeries, _divide, _shift_add, _unpack, one, pochhammer, product_power, slot_bits
+from .series import _divide, _shift_add, _unpack, pochhammer, product_power, slot_bits
 from .valuation import FamilyId, exponent
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
@@ -49,33 +48,16 @@ FAMILIES: dict[FamilyId, tuple[Side, Side]] = {
 }
 
 
-@dataclass(frozen=True)
-class CappedPartition:
-    """A partition of n as (part k, multiplicity t) terms, largest part first.
-
-    Each t is in 1..caps[k]; weight is prod C(caps[k], t) over the terms,
-    always >= 1 for emitted partitions.
-    """
-
-    terms: tuple[tuple[int, int], ...]
-    weight: int
-
-    def parts(self) -> tuple[int, ...]:
-        """Parts in decreasing order, e.g. (3, 1, 1)."""
-        return tuple(k for k, t in self.terms for _ in range(t))
-
-
-def sparse_side(side: Side, order: int) -> TruncatedSeries:
+def sparse_side(side: Side, order: int) -> list[int]:
     """One side of a FAMILIES quotient, written from its closed form to `order`."""
     if order < 0:
         raise ValueError("order must be non-negative")
     if side is None:
-        return one(order)
+        return [1] + [0] * order
     kind, k = side
     if kind == "f":
-        return pochhammer(k, order)
-    c = [0] * (order + 1)
-    c[0] = 1
+        return list(pochhammer(k, order).coeffs)
+    c = [1] + [0] * order
     if kind == "phi":  # phi(-q^k) = sum_n (-1)^n q^(k n^2), n and -n together
         for n in range(1, isqrt(order // k) + 1):
             c[k * n * n] = 2 * (-1) ** n
@@ -85,10 +67,10 @@ def sparse_side(side: Side, order: int) -> TruncatedSeries:
             c[t] = k ** t
             n += 1
             t += n
-    return TruncatedSeries(tuple(c))
+    return c
 
 
-def gf_series(family: FamilyId, order: int) -> TruncatedSeries:
+def gf_series(family: FamilyId, order: int) -> list[int]:
     """Expand the family's quotient to `order` by one division.
 
     Both sides have O(order^0.5) nonzero terms, so the division costs
@@ -103,9 +85,9 @@ def exponents(family: FamilyId, order: int) -> list[int]:
     return [0] + [exponent(family, n) for n in range(1, order + 1)]
 
 
-def product_series(family: FamilyId, order: int) -> TruncatedSeries:
+def product_series(family: FamilyId, order: int) -> list[int]:
     """Expand prod_{n>=1} (1+q^n)^v(n) with the family's exponent rule."""
-    return product_power(exponents(family, order), order)
+    return list(product_power(exponents(family, order), order).coeffs)
 
 
 def binomial_table(family: FamilyId, order: int) -> list[int]:
@@ -127,11 +109,12 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
     return _unpack(dp, order, bits)
 
 
-def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
-    """All partitions of n with multiplicity of part k at most caps[k].
+def enumerate_capped(n: int, caps: list[int]) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """All partitions of n with multiplicity of part k at most caps[k], as (terms, weight).
 
-    Emitted in lexicographically decreasing part order (largest part first),
-    each with its binomial weight prod_k C(caps[k], t_k).
+    terms lists the (part k, multiplicity t) pairs, t in 1..caps[k], largest part
+    first; weight is prod_k C(caps[k], t_k) >= 1. Partitions come in
+    lexicographically decreasing part order (largest part first).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -140,13 +123,13 @@ def enumerate_capped(n: int, caps: list[int]) -> list[CappedPartition]:
     if min(caps) < 0:  # it would lower `reach` below what the other parts can sum to
         k = next(k for k, cap in enumerate(caps) if cap < 0)
         raise ValueError(f"cap {caps[k]} of part {k} is negative")
-    results: list[CappedPartition] = []
+    results = []
     reach = list(accumulate(k * cap for k, cap in enumerate(caps)))  # most parts <= k can sum to
 
     def rec(remaining: int, max_part: int, terms: tuple[tuple[int, int], ...], weight: int) -> None:
         # One (k, t) term per level: larger parts, then more copies, come first.
         if remaining == 0:
-            results.append(CappedPartition(terms, weight))
+            results.append((terms, weight))
             return
         for k in range(min(max_part, remaining), 0, -1):
             if reach[k] < remaining:  # parts <= k cannot fill it, nor can smaller ones
@@ -216,9 +199,9 @@ def table(family: FamilyId, order: int, route: Route) -> list[int]:
     if order > MAX_ORDER:
         raise ValueError(f"order is limited to <= {MAX_ORDER}")
     if route is Route.GF:
-        return list(gf_series(family, order).coeffs)
+        return gf_series(family, order)
     if route is Route.PRODUCT:
-        return list(product_series(family, order).coeffs)
+        return product_series(family, order)
     if route is Route.BINOMIAL:
         return binomial_table(family, order)
     if route is Route.BRUTE:

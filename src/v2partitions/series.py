@@ -1,9 +1,10 @@
 """Exact dense truncated power series over the integers.
 
-A series is a dense coefficient vector c_0..c_N representing a power
+A series is a dense coefficient list c_0..c_N representing a power
 series mod q^(N+1). All arithmetic is exact (Python ints); the truncation
 order is passed explicitly to every operation so two routes can never be
-compared at silently different orders.
+compared at silently different orders. `pochhammer`, `product_power`, `mul`
+and `reciprocal` return the coefficients as a `TruncatedSeries`.
 
 Products of factors with non-negative coefficients (the product and
 binomial routes) run packed: c_0..c_N become one int with c_k in the
@@ -28,7 +29,7 @@ _WORD_TYPECODE = {array(t).itemsize: t for t in "BHILQ"}  # slot bytes -> array 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series mod q^(order+1); coeffs[i] is the coefficient of q^i."""
+    """Power series mod q^(len(coeffs)); coeffs[i] is the coefficient of q^i."""
 
     coeffs: tuple[int, ...]
 
@@ -36,35 +37,23 @@ class TruncatedSeries:
         if len(self.coeffs) == 0:
             raise ValueError("a truncated series has at least the constant coefficient")
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i]
-
-
-def one(order: int) -> TruncatedSeries:
-    """The multiplicative identity 1 at the given truncation order."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return TruncatedSeries((1,) + (0,) * order)
-
 
 def mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Cauchy product truncated at `order` (schoolbook convolution)."""
-    if a.order < order or b.order < order:
-        raise ValueError("both factors must carry coefficients up to the requested order")
     ac, bc = a.coeffs, b.coeffs
+    if len(ac) <= order or len(bc) <= order:
+        raise ValueError("both factors must carry coefficients up to the requested order")
     return TruncatedSeries(tuple(sum(map(times, ac[:k + 1], bc[k::-1])) for k in range(order + 1)))
 
 
 def reciprocal(a: TruncatedSeries, order: int) -> TruncatedSeries:
     """Multiplicative inverse mod q^(order+1); requires constant term 1."""
-    return _divide(one(order), a, order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return TruncatedSeries(tuple(_divide([1] + [0] * order, a.coeffs, order)))
 
 
-def _divide(c: TruncatedSeries, a: TruncatedSeries, order: int) -> TruncatedSeries:
+def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
     """c/a mod q^(order+1); requires constant term 1 in a.
 
     Recurrence r_k = c_k - sum_{i=1..k} a_i r_{k-i}, visiting only the nonzero
@@ -76,20 +65,20 @@ def _divide(c: TruncatedSeries, a: TruncatedSeries, order: int) -> TruncatedSeri
     below len(r) and never runs dry. Summing each coefficient's cursors with
     `map(next, ...)` runs the inner loop in C.
     """
-    if a.coeffs[0] != 1:
+    if a[0] != 1:
         raise ValueError("reciprocal requires constant term 1")
-    if a.order < order:
+    if len(a) <= order:
         raise ValueError("input must carry coefficients up to the requested order")
-    starts = {i: ai for i, ai in enumerate(a.coeffs[1:order + 1], start=1) if ai}
+    starts = {i: ai for i, ai in enumerate(a[1:order + 1], start=1) if ai}
     cursors: dict[int, list] = {}  # a_i -> cursors of the terms with that coefficient
-    r = [c.coeffs[0]]
-    for k, ck in enumerate(c.coeffs[1:order + 1], start=1):
+    r = [c[0]]
+    for k, ck in enumerate(c[1:order + 1], start=1):
         if k in starts:
             cursors.setdefault(starts[k], []).append(iter(r))
         for ai, its in cursors.items():
             ck -= ai * sum(map(next, its))
         r.append(ck)
-    return TruncatedSeries(tuple(r))
+    return r
 
 
 def _shift_add(dst: int, src: int, s: int, w: int, bits: int) -> int:

@@ -85,13 +85,14 @@ def remark_trace(family: FamilyId, n: int) -> list[str]:
         raise ValueError(f"remark tableaux are limited to 1 <= n <= {BRUTE_LIMIT}")
     caps = exponents(family, n)
     partitions = enumerate_capped(n, caps)
-    total = sum(p.weight for p in partitions)
+    total = sum(weight for _, weight in partitions)
     expected = binomial_table(family, n)[n]
     if total != expected:
         raise AssertionError(
             f"tableau total {total} disagrees with binomial DP {expected} "
             f"for {family.value} at n={n}")
-    lines = [f"{'+'.join(map(str, p.parts()))}  "
-             f"{'*'.join(f'C({caps[k]},{t})' for k, t in p.terms)} = {p.weight}" for p in partitions]
+    lines = [f"{'+'.join(str(k) for k, t in terms for _ in range(t))}  "
+             f"{'*'.join(f'C({caps[k]},{t})' for k, t in terms)} = {weight}"
+             for terms, weight in partitions]
     lines.append(f"total = {total}")
     return lines

@@ -414,15 +414,6 @@ def test_compare_exit_two_exactly_when_bfile_unusable(family, route, lines, miss
     assert code in ((2,) if unusable else (0, 1))
 
 
-def test_full_verification_script_passes():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "full_verification.py")],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "FAIL" not in proc.stdout
-    assert proc.stdout.count("PASS") == 12  # 2 runs x (5 families + binary identity)
-
-
 def test_benchmark_selftest_passes():
     # The benchmark traces public names and reads each route's table; a rename
     # or a changed return shape fails here, not only in a benchmark run.

@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+import re
 from functools import cache
 from itertools import chain, count
 from pathlib import Path
@@ -17,7 +20,6 @@ from v2partitions import (
     exponent,
     gf_series,
     mul,
-    one,
     pochhammer,
     product_series,
     reciprocal,
@@ -30,15 +32,54 @@ from v2partitions import families, series, valuation
 import oracles
 
 ALL_FAMILIES = list(FamilyId)
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
     assert [name for name in v2partitions.__all__ if not hasattr(v2partitions, name)] == []
 
 
+def _readme_names(opening):
+    """Backticked (dotted) names outside parentheses in the README paragraph starting `opening`."""
+    paragraph = README.read_text(encoding="utf-8").split("\n" + opening, 1)[1].split("\n\n", 1)[0]
+    names, depth = [], 0
+    for i, chunk in enumerate(paragraph.split("`")):
+        if i % 2 == 0:  # outside backticks
+            depth += chunk.count("(") - chunk.count(")")
+        elif depth == 0 and re.fullmatch(r"\w+(\.\w+)*", chunk):
+            names.append(chunk)
+    return names
+
+
+def _resolve(name):
+    obj = v2partitions
+    for attr in name.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_readme_gone_names_resolve_nowhere():
+    gone = _readme_names("These public names are gone:")
+    assert {"one", "CappedPartition", "TruncatedSeries.order"} <= set(gone)
+    modules = [v2partitions] + [importlib.import_module(f"v2partitions.{m.name}")
+                                for m in pkgutil.iter_modules(v2partitions.__path__)
+                                if not m.name.startswith("_")]
+    for name in gone:
+        assert name not in v2partitions.__all__, name
+        owner, _, attr = name.rpartition(".")
+        assert not any(hasattr(m, attr) for m in ([_resolve(owner)] if owner else modules)), name
+
+
+def test_readme_tracer_names_resolve():
+    kept = _readme_names("These public names stay only for the frozen benchmark tracer:")
+    assert {"TruncatedSeries", "mul", "reciprocal", "brute_force_count"} <= set(kept)
+    for name in kept:
+        _resolve(name)
+
+
 def test_readme_library_example_holds():
     # Each "# <value>" comment in README's Library block is the repr of its line's value.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     namespace, checked = {}, 0
     for line in block.splitlines():
@@ -53,6 +94,11 @@ def test_readme_library_example_holds():
 
 def exponent_caps(family, n):
     return [0] + [exponent(family, k) for k in range(1, n + 1)]
+
+
+def parts(terms):
+    """The parts of an enumerate_capped partition in decreasing order, e.g. (3, 1, 1)."""
+    return tuple(k for k, t in terms for _ in range(t))
 
 
 # Each family's generating function as the q-Pochhammer fraction
@@ -76,12 +122,12 @@ class TestGfSeries:
 
     def test_distinct_parts_initial_segment(self):
         expected = [oracles.count_with(n, oracles.distinct_parts) for n in range(11)]
-        assert list(gf_series(FamilyId.PD, 10).coeffs) == expected
+        assert gf_series(FamilyId.PD, 10) == expected
         assert expected == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_constant_term_is_one(self, family):
-        assert gf_series(family, 0).coeffs == (1,)
+        assert gf_series(family, 0) == [1]
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_negative_order_rejected(self, family):
@@ -104,7 +150,7 @@ class TestGfSeries:
         dense = reciprocal(expand(denominator), N)
         if numerator is not None:
             dense = mul(expand(numerator), dense, N)
-        assert gf_series(family, N) == dense
+        assert gf_series(family, N) == list(dense.coeffs)
 
     @pytest.mark.parametrize("side", [("phi", 1), ("phi", 2), ("psi", 1), ("psi", -1)],
                              ids=["phi(-q)", "phi(-q^2)", "psi(q)", "psi(-q)"])
@@ -113,7 +159,7 @@ class TestGfSeries:
         # each closed-form theta series against its eta quotient, expanded
         # densely with mul and reciprocal over pentagonal series.
         N = 2000
-        numerator, denominator = one(N), one(N)
+        numerator = denominator = TruncatedSeries((1,) + (0,) * N)
         for k, e in oracles.side_eta(side).items():
             f_k = pochhammer(k, N)
             for _ in range(abs(e)):
@@ -121,7 +167,8 @@ class TestGfSeries:
                     numerator = mul(f_k, numerator, N)
                 else:
                     denominator = mul(f_k, denominator, N)
-        assert families.sparse_side(side, N) == mul(numerator, reciprocal(denominator, N), N)
+        expected = mul(numerator, reciprocal(denominator, N), N)
+        assert families.sparse_side(side, N) == list(expected.coeffs)
 
 
 class TestProductSeries:
@@ -133,7 +180,7 @@ class TestProductSeries:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_order_zero(self, family):
-        assert product_series(family, 0).coeffs == (1,)
+        assert product_series(family, 0) == [1]
 
 
 class TestBinomialSum:
@@ -192,25 +239,26 @@ class TestEnumerateCapped:
     ])
     def test_worked_listings(self, family, n, expected_parts, expected_weights):
         got = enumerate_capped(n, exponent_caps(family, n))
-        assert [p.parts() for p in got] == expected_parts
-        assert [p.weight for p in got] == expected_weights
+        assert [parts(terms) for terms, _ in got] == expected_parts
+        assert [weight for _, weight in got] == expected_weights
 
     def test_invariants(self):
         caps = exponent_caps(FamilyId.OVERPARTITION_ODD, 12)
         listing = enumerate_capped(12, caps)
-        for p in listing:
-            assert sum(k * t for k, t in p.terms) == 12
-            parts = [k for k, _ in p.terms]
-            assert parts == sorted(set(parts), reverse=True)  # strictly decreasing
-            assert all(1 <= t <= caps[k] for k, t in p.terms)
-            assert p.weight >= 1
-        assert [p.parts() for p in listing] == sorted((p.parts() for p in listing), reverse=True)
+        for terms, weight in listing:
+            assert sum(k * t for k, t in terms) == 12
+            sizes = [k for k, _ in terms]
+            assert sizes == sorted(set(sizes), reverse=True)  # strictly decreasing
+            assert all(1 <= t <= caps[k] for k, t in terms)
+            assert weight >= 1
+        assert ([parts(terms) for terms, _ in listing]
+                == sorted((parts(terms) for terms, _ in listing), reverse=True))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
     def test_weight_sum_equals_binomial_sum(self, family, n):
         got = enumerate_capped(n, exponent_caps(family, n))
-        assert sum(p.weight for p in got) == binomial_table(family, n)[n]
+        assert sum(weight for _, weight in got) == binomial_table(family, n)[n]
 
     def test_short_caps_list_rejected(self):
         with pytest.raises(ValueError, match="every part k <= 5"):  # not an IndexError
@@ -219,7 +267,7 @@ class TestEnumerateCapped:
     def test_negative_cap_rejected(self):
         # A cap of -1 on part 2 lowered the reach of parts <= 2, which pruned 1+1+1
         # and listed only (3,).
-        assert [p.parts() for p in enumerate_capped(3, [0, 3, 0, 1])] == [(3,), (1, 1, 1)]
+        assert [parts(terms) for terms, _ in enumerate_capped(3, [0, 3, 0, 1])] == [(3,), (1, 1, 1)]
         with pytest.raises(ValueError, match="cap -1 of part 2 is negative"):
             enumerate_capped(3, [0, 3, -1, 1])
 
@@ -233,7 +281,8 @@ class TestEnumerateCapped:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(families, "exponents", lambda family, order: caps)
             dp = families.binomial_table(FamilyId.PD, N)
-        weights = [1] + [sum(p.weight for p in enumerate_capped(n, caps)) for n in range(1, N + 1)]
+        weights = [1] + [sum(weight for _, weight in enumerate_capped(n, caps))
+                         for n in range(1, N + 1)]
         assert list(series.product_power(caps, N).coeffs) == dp == weights
 
 
@@ -334,22 +383,22 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_analytic_routes_agree_to_120(self, family):
         N = 120
-        gf = list(gf_series(family, N).coeffs)
-        prod = list(product_series(family, N).coeffs)
+        gf = gf_series(family, N)
+        prod = product_series(family, N)
         binom = table(family, N, Route.BINOMIAL)
         assert gf == prod == binom
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_agrees_to_30(self, family):
         N = 30
-        assert table(family, N, Route.BRUTE) == list(gf_series(family, N).coeffs)
+        assert table(family, N, Route.BRUTE) == gf_series(family, N)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_sequences_non_negative(self, family):
-        assert all(c >= 0 for c in gf_series(family, 200).coeffs)
+        assert all(c >= 0 for c in gf_series(family, 200))
 
     def test_overpartition_values_even_from_one(self):
-        coeffs = gf_series(FamilyId.OVERPARTITION_ODD, 100).coeffs
+        coeffs = gf_series(FamilyId.OVERPARTITION_ODD, 100)
         assert all(c % 2 == 0 for c in coeffs[1:])
 
     @pytest.mark.parametrize("route", [Route.GF, Route.PRODUCT, Route.BINOMIAL])
@@ -372,7 +421,7 @@ class TestRouteEquivalence:
         # p_e(2n) = p(n), p_e(odd) = 0
         N = 100
         pe = product_series(FamilyId.PE, 2 * N)
-        p = reciprocal(pochhammer(1, N), N)
+        p = reciprocal(pochhammer(1, N), N).coeffs
         for n in range(N + 1):
             assert pe[2 * n] == p[n]
         assert all(pe[k] == 0 for k in range(1, 2 * N + 1, 2))
@@ -457,8 +506,8 @@ class TestDivisorSumOracle:
         divide = series._divide
 
         def faulty(c, a, order):  # drops the divisor's terms past the brute limit
-            kept = a.coeffs[:BRUTE_LIMIT + 1] + (0,) * (a.order - BRUTE_LIMIT)
-            return divide(c, series.TruncatedSeries(kept), order)
+            kept = a[:BRUTE_LIMIT + 1] + [0] * (len(a) - 1 - BRUTE_LIMIT)
+            return divide(c, kept, order)
 
         monkeypatch.setattr(series, "_divide", faulty)
         monkeypatch.setattr(families, "_divide", faulty)
@@ -475,7 +524,7 @@ class TestSlotBits:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_slot_width_exceeds_every_gf_value(self, family):
         for N in [*range(61), 500, 2000, 4000, 10_000]:
-            need = max(gf_series(family, N).coeffs).bit_length()
+            need = max(gf_series(family, N)).bit_length()
             assert series.slot_bits(families.exponents(family, N), N) > need, N
 
     @pytest.mark.parametrize("m", range(1, 51))
@@ -487,6 +536,29 @@ class TestSlotBits:
             e[n] = 1
             n *= 2
         assert all(series.slot_bits(e[:N + 1], N) > 1 for N in range(501))
+
+
+class TestReturnContract:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("N", [0, 1, 60])
+    def test_every_route_returns_a_fresh_list_of_ints(self, family, N):
+        # Fault fixtures mutate a returned table, so no two calls may share one.
+        for route in Route:
+            first = table(family, N, route)
+            assert type(first) is list and len(first) == N + 1
+            assert all(type(c) is int for c in first)
+            first[0] += 1
+            second = table(family, N, route)
+            assert second is not first and second[0] == first[0] - 1
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("N", [0, 1, 60])
+    def test_route_functions_return_their_table(self, family, N):
+        for route, route_table in [(Route.GF, gf_series), (Route.PRODUCT, product_series),
+                                   (Route.BINOMIAL, binomial_table)]:
+            got = route_table(family, N)
+            assert type(got) is list
+            assert got == table(family, N, route)
 
 
 class TestTable:
