@@ -14,11 +14,11 @@ performed by the `verify` module.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import comb, isqrt
 
-from .series import _divide, _shift_add, _unpack, pochhammer, product_power, slot_bits
-from .valuation import FamilyId, exponent
+from .series import _divide, binomial_power, pochhammer, product_power
+from .valuation import FamilyId, exponents
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
 MAX_ORDER = 10_000  # every route refuses tables beyond this order
@@ -80,33 +80,14 @@ def gf_series(family: FamilyId, order: int) -> list[int]:
     return _divide(sparse_side(numerator, order), sparse_side(denominator, order), order)
 
 
-def exponents(family: FamilyId, order: int) -> list[int]:
-    """[0, v(1), ..., v(order)]: the family's exponent rule as one list per table."""
-    return [0] + [exponent(family, n) for n in range(1, order + 1)]
-
-
 def product_series(family: FamilyId, order: int) -> list[int]:
     """Expand prod_{n>=1} (1+q^n)^v(n) with the family's exponent rule."""
     return list(product_power(exponents(family, order), order).coeffs)
 
 
 def binomial_table(family: FamilyId, order: int) -> list[int]:
-    """f(0..order) by the bounded-knapsack DP over binomial-weighted multiplicities.
-
-    State is the remaining weight; the transition at part k chooses its
-    multiplicity t <= v(k) with weight C(v(k), t). Part k's choices sum to
-    (1+q^k)^v(k), so the DP runs packed, with the product route's slot width.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    e = exponents(family, order)
-    bits = slot_bits(e, order)
-    dp = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
-    for k in compress(range(1, order + 1), e[1:]):
-        cap, before = e[k], dp
-        for t in range(1, min(cap, order // k) + 1):
-            dp = _shift_add(dp, before, k * t, comb(cap, t), bits)
-    return _unpack(dp, order, bits)
+    """f(0..order) by the binomial DP over the family's exponent rule."""
+    return binomial_power(exponents(family, order), order)
 
 
 def enumerate_capped(n: int, caps: list[int]) -> list[tuple[tuple[tuple[int, int], ...], int]]:

@@ -6,12 +6,11 @@ order is passed explicitly to every operation so two routes can never be
 compared at silently different orders. `pochhammer`, `product_power`, `mul`
 and `reciprocal` return the coefficients as a `TruncatedSeries`.
 
-Products of factors with non-negative coefficients (the product and
-binomial routes) run packed: c_0..c_N become one int with c_k in the
+Products of factors with non-negative coefficients, `product_power` and
+`binomial_power`, run packed: c_0..c_N become one int with c_k in the
 `bits`-wide slot N - k, so each pass over the series is a few big-int
-operations. `slot_bits` chooses a width no coefficient can outgrow, and
-`_unpack` reads the slots back: slots of 1, 2, 4 or 8 bytes as machine
-words through `array`, other widths with one `int.from_bytes` per slot.
+operations. `slot_bits` checks the exponent list and chooses a width no
+coefficient can outgrow, and `_unpack` reads the slots back.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from math import ceil, exp, log, log1p, pi, sqrt
+from math import ceil, comb, exp, log, log1p, pi, sqrt
 from operator import mul as times
 from sys import byteorder
 from typing import Sequence
@@ -102,7 +101,15 @@ def slot_bits(e: Sequence[int], order: int) -> int:
     coefficients. x = exp(-t) is taken near the saddle point of a product
     with density rho = sum(e)/order, t = pi*sqrt(rho/(12*order)). The float
     bound gets 2 bits of margin for rounding before it is rounded up to bytes.
+    Both packed expansions call it first, so it refuses the lists they cannot expand.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if len(e) <= order:
+        raise ValueError("e must give an exponent for every n <= order")
+    if min(e[1:order + 1], default=0) < 0:  # a division: the passes would skip the factor
+        n = next(n for n in range(1, order + 1) if e[n] < 0)
+        raise ValueError(f"exponent {e[n]} at n = {n} is negative")
     total = sum(e[1:order + 1])
     if total == 0:
         return 8
@@ -156,16 +163,25 @@ def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
     Each (1+q^n) factor is one packed shift-add pass, applied e[n] times;
     zero exponents cost nothing.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if len(e) <= order:
-        raise ValueError("e must give an exponent for every n <= order")
-    if min(e[1:order + 1], default=0) < 0:  # a division: the passes would skip the factor
-        n = next(n for n in range(1, order + 1) if e[n] < 0)
-        raise ValueError(f"exponent {e[n]} at n = {n} is negative")
     bits = slot_bits(e, order)
     c = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
     for n in compress(range(1, order + 1), e[1:order + 1]):
         for _ in range(e[n]):
             c = _shift_add(c, c, n, 1, bits)
     return TruncatedSeries(tuple(_unpack(c, order, bits)))
+
+
+def binomial_power(e: Sequence[int], order: int) -> list[int]:
+    """f(0..order) by the bounded-knapsack DP over binomial-weighted multiplicities.
+
+    State is the remaining weight; the transition at part k chooses its
+    multiplicity t <= e[k] with weight C(e[k], t). Part k's choices sum to
+    (1+q^k)^e[k], so the DP runs packed, with `product_power`'s slot width.
+    """
+    bits = slot_bits(e, order)
+    dp = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
+    for k in compress(range(1, order + 1), e[1:]):
+        cap, before = e[k], dp
+        for t in range(1, min(cap, order // k) + 1):
+            dp = _shift_add(dp, before, k * t, comb(cap, t), bits)
+    return _unpack(dp, order, bits)

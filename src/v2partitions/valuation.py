@@ -46,3 +46,8 @@ def exponent(family: FamilyId, n: int) -> int:
     if family is _PD or family is _POD or family is _PE:
         return v
     raise AssertionError(f"unhandled family {family}")
+
+
+def exponents(family: FamilyId, order: int) -> list[int]:
+    """[0, v(1), ..., v(order)]: the family's exponent rule as one list per table."""
+    return [0] + [exponent(family, n) for n in range(1, order + 1)]

@@ -10,9 +10,9 @@ from __future__ import annotations
 import time
 from itertools import zip_longest
 
-from .families import BRUTE_LIMIT, MAX_ORDER, Route, binomial_table, enumerate_capped, exponents, table
+from .families import BRUTE_LIMIT, MAX_ORDER, Route, binomial_table, enumerate_capped, table
 from .series import product_power
-from .valuation import FamilyId
+from .valuation import FamilyId, exponents
 
 
 def _first_mismatch(tables: dict[str, list[int]]) -> dict | None:
@@ -60,8 +60,6 @@ def verify_binary_identity(m: int, order: int) -> dict:
     """Check 1/(1-q^m) = prod_{k>=0} (1+q^(2^k m)) at the given truncation order."""
     if m < 1:
         raise ValueError("m must be positive")
-    if order < 0:
-        raise ValueError("order must be non-negative")
     if order > MAX_ORDER:
         raise ValueError(f"order is limited to <= {MAX_ORDER}")
     start = time.perf_counter()
@@ -71,7 +69,7 @@ def verify_binary_identity(m: int, order: int) -> dict:
         e[n] = 1
         n *= 2
     tables = {"binary-product": list(product_power(e, order).coeffs),
-              "geometric-reciprocal": (([1] + [0] * (m - 1)) * (order // m + 1))[:order + 1]}
+              "geometric-reciprocal": (([1] + [0] * min(m - 1, order)) * (order // m + 1))[:order + 1]}
     return _report(f"binary-identity m={m}", order, tables, start)
 
 

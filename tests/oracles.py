@@ -7,8 +7,6 @@ data under test, and expands no series. `unpack_slots` is the reference
 decoder of the packed kernel's slots, one slot at a time.
 """
 
-from itertools import count
-
 from v2partitions.families import FAMILIES
 
 

@@ -6,8 +6,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import json
 import time
 
-import pytest
-
 from v2partitions import (
     FamilyId,
     Route,

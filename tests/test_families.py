@@ -33,10 +33,20 @@ import oracles
 
 ALL_FAMILIES = list(FamilyId)
 README = Path(__file__).parents[1] / "README.md"
+MODULES = [v2partitions, *(importlib.import_module(f"v2partitions.{m.name}")  # not __main__
+                           for m in pkgutil.iter_modules(v2partitions.__path__) if m.name[0] != "_")]
 
 
 def test_every_exported_name_resolves():
     assert [name for name in v2partitions.__all__ if not hasattr(v2partitions, name)] == []
+
+
+def test_fault_seams_have_one_binding():
+    # Fault tests patch these where they are defined; a copy elsewhere would escape them.
+    seams = [series._shift_add, series.slot_bits, series._unpack, valuation.exponent]
+    copies = [f"{m.__name__}.{attr}" for m in MODULES for attr, value in vars(m).items()
+              if any(value is seam for seam in seams) and value.__module__ != m.__name__]
+    assert copies == ["v2partitions.exponent"]  # the public re-export
 
 
 def _readme_names(opening):
@@ -61,13 +71,10 @@ def _resolve(name):
 def test_readme_gone_names_resolve_nowhere():
     gone = _readme_names("These public names are gone:")
     assert {"one", "CappedPartition", "TruncatedSeries.order"} <= set(gone)
-    modules = [v2partitions] + [importlib.import_module(f"v2partitions.{m.name}")
-                                for m in pkgutil.iter_modules(v2partitions.__path__)
-                                if not m.name.startswith("_")]
     for name in gone:
         assert name not in v2partitions.__all__, name
         owner, _, attr = name.rpartition(".")
-        assert not any(hasattr(m, attr) for m in ([_resolve(owner)] if owner else modules)), name
+        assert not any(hasattr(m, attr) for m in ([_resolve(owner)] if owner else MODULES)), name
 
 
 def test_readme_tracer_names_resolve():
@@ -90,10 +97,6 @@ def test_readme_library_example_holds():
         else:
             exec(code, namespace)
     assert checked > 0
-
-
-def exponent_caps(family, n):
-    return [0] + [exponent(family, k) for k in range(1, n + 1)]
 
 
 def parts(terms):
@@ -238,12 +241,12 @@ class TestEnumerateCapped:
          [(8,), (6, 2), (4, 4)], [3, 1, 1]),
     ])
     def test_worked_listings(self, family, n, expected_parts, expected_weights):
-        got = enumerate_capped(n, exponent_caps(family, n))
+        got = enumerate_capped(n, valuation.exponents(family, n))
         assert [parts(terms) for terms, _ in got] == expected_parts
         assert [weight for _, weight in got] == expected_weights
 
     def test_invariants(self):
-        caps = exponent_caps(FamilyId.OVERPARTITION_ODD, 12)
+        caps = valuation.exponents(FamilyId.OVERPARTITION_ODD, 12)
         listing = enumerate_capped(12, caps)
         for terms, weight in listing:
             assert sum(k * t for k, t in terms) == 12
@@ -257,7 +260,7 @@ class TestEnumerateCapped:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
     def test_weight_sum_equals_binomial_sum(self, family, n):
-        got = enumerate_capped(n, exponent_caps(family, n))
+        got = enumerate_capped(n, valuation.exponents(family, n))
         assert sum(weight for _, weight in got) == binomial_table(family, n)[n]
 
     def test_short_caps_list_rejected(self):
@@ -278,9 +281,7 @@ class TestEnumerateCapped:
         # the same list and the enumerated weights agree on an arbitrary one.
         caps = [0] + caps
         N = len(caps) - 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(families, "exponents", lambda family, order: caps)
-            dp = families.binomial_table(FamilyId.PD, N)
+        dp = series.binomial_power(caps, N)
         weights = [1] + [sum(weight for _, weight in enumerate_capped(n, caps))
                          for n in range(1, N + 1)]
         assert list(series.product_power(caps, N).coeffs) == dp == weights
@@ -342,8 +343,7 @@ def _crossed(*args):
     raise AssertionError("route boundary crossed")
 
 
-PACKED_KERNEL = [(module, name) for module in (series, families)
-                 for name in ("_shift_add", "slot_bits", "_unpack")]
+PACKED_KERNEL = [(series, name) for name in ("_shift_add", "slot_bits", "_unpack")]
 
 
 class TestRouteBoundaries:
@@ -353,7 +353,7 @@ class TestRouteBoundaries:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
         expected = table(family, 60, Route.GF)
-        for module, name in [(families, "exponent"), (valuation, "exponent"), *PACKED_KERNEL,
+        for module, name in [(valuation, "exponent"), *PACKED_KERNEL, (series, "comb"),
                              (families, "comb"), (families, "binomial_table")]:
             monkeypatch.setattr(module, name, _crossed)
         with pytest.raises(AssertionError, match="boundary"):
@@ -363,7 +363,6 @@ class TestRouteBoundaries:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gf_reads_no_exponent_rule(self, monkeypatch, family):
         expected = table(family, 200, Route.GF)
-        monkeypatch.setattr(families, "exponent", _crossed)
         monkeypatch.setattr(valuation, "exponent", _crossed)
         with pytest.raises(AssertionError, match="boundary"):
             table(family, 200, Route.BINOMIAL)
@@ -490,7 +489,6 @@ class TestDivisorSumOracle:
             return kernel(dst, src, s + 1 if s > BRUTE_LIMIT else s, w, bits)
 
         monkeypatch.setattr(series, "_shift_add", faulty)
-        monkeypatch.setattr(families, "_shift_add", faulty)
         assert verify_family(family, BRUTE_LIMIT, include_brute=True)["status"] == "PASS"
         # gf, one division of sparse series, never calls the kernel
         assert table(family, ORACLE_N, Route.GF) == clean[Route.GF]
@@ -525,7 +523,7 @@ class TestSlotBits:
     def test_slot_width_exceeds_every_gf_value(self, family):
         for N in [*range(61), 500, 2000, 4000, 10_000]:
             need = max(gf_series(family, N)).bit_length()
-            assert series.slot_bits(families.exponents(family, N), N) > need, N
+            assert series.slot_bits(valuation.exponents(family, N), N) > need, N
 
     @pytest.mark.parametrize("m", range(1, 51))
     def test_slot_width_holds_binary_identity(self, m):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2partitions import TruncatedSeries, mul, pochhammer, product_power, reciprocal
-from v2partitions.series import _divide, _shift_add, _unpack
+from v2partitions.series import _divide, _shift_add, _unpack, binomial_power, slot_bits
 
 from oracles import (count_with, distinct_parts, partition_count, pochhammer_factors, product_expand,
                      unpack_slots)
@@ -179,14 +179,16 @@ class TestProductPower:
         expected = [count_with(n, distinct_parts) for n in range(4)]
         assert list(got.coeffs) == expected == [1, 1, 1, 2]
 
-    @pytest.mark.parametrize("e,message", [
-        ([0, 1], "every n <= order"),
-        ([0, 2, -1], "at n = 2 is negative"),  # not (1, 2, 1): (1+q)^2/(1+q^2) is 1 + 2q + 0q^2
-        ([0, -1, 0], "at n = 1 is negative"),  # not a math domain error from slot_bits
-    ], ids=["short", "negative-at-2", "negative-at-1"])
-    def test_bad_exponent_list_rejected(self, e, message):
+    @pytest.mark.parametrize("expand", [product_power, binomial_power, slot_bits], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("e,order,message", [
+        ([0, 1], 2, "every n <= order"),
+        ([0, 2, -1], 2, "at n = 2 is negative"),  # not (1, 2, 1): (1+q)^2/(1+q^2) is 1 + 2q + 0q^2
+        ([0, -1, 0], 2, "at n = 1 is negative"),  # not a math domain error from slot_bits
+        ([0], -1, "order must be non-negative"),
+    ], ids=["short", "negative-at-2", "negative-at-1", "negative-order"])
+    def test_bad_exponent_list_rejected(self, expand, e, order, message):
         with pytest.raises(ValueError, match=message):
-            product_power(e, 2)
+            expand(e, order)
 
     @pytest.mark.parametrize("N", [0, 1, 10, 50, 200])
     def test_euler_identity(self, N):

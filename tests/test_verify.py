@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from v2partitions import (BRUTE_LIMIT, FamilyId, Route, binomial_table, remark_trace, table,
                           verify_binary_identity, verify_family)
-from v2partitions import families, series, verify
+from v2partitions import families, series, valuation, verify
 
 ALL_FAMILIES = list(FamilyId)
 
@@ -30,8 +32,8 @@ class TestVerifyFamily:
             verify_family(FamilyId.PD, 61, include_brute=True)
 
     def test_broken_exponent_rule_fails_at_first_changed_index(self, monkeypatch):
-        original = families.exponent
-        monkeypatch.setattr(families, "exponent",
+        original = valuation.exponent
+        monkeypatch.setattr(valuation, "exponent",
                             lambda family, n: original(family, n) + (n == 7))
         report = verify_family(FamilyId.PD, 20)
         assert report["status"] == "FAIL"
@@ -48,7 +50,6 @@ class TestVerifyFamily:
         original = series._shift_add
         broken = lambda dst, src, s, w, bits: original(dst, src, s + 1, w, bits)
         monkeypatch.setattr(series, "_shift_add", broken)
-        monkeypatch.setattr(families, "_shift_add", broken)
         report = verify_family(family, 40, include_brute=True)
         assert report["status"] == "FAIL"
         assert report["first_mismatch"] == {
@@ -64,7 +65,6 @@ class TestVerifyFamily:
         narrow = 8 * ((max(gf).bit_length() - 1) // 8)
         n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
         monkeypatch.setattr(series, "slot_bits", lambda e, order: narrow)
-        monkeypatch.setattr(families, "slot_bits", lambda e, order: narrow)
         report = verify_family(family, BRUTE_LIMIT, include_brute=True)
         assert report["status"] == "FAIL"
         values = report["first_mismatch"]["values"]
@@ -79,7 +79,6 @@ class TestVerifyFamily:
         gf = table(family, order, Route.GF)
         n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
         monkeypatch.setattr(series, "slot_bits", lambda e, order: narrow)
-        monkeypatch.setattr(families, "slot_bits", lambda e, order: narrow)
         report = verify_family(family, order)
         assert report["status"] == "FAIL"
         values = report["first_mismatch"]["values"]
@@ -141,9 +140,10 @@ class TestBinaryIdentity:
     def test_sweep(self):
         assert all(verify_binary_identity(m, 200)["status"] == "PASS" for m in range(1, 51))
 
-    def test_bad_input_rejected(self):
-        with pytest.raises(ValueError):
-            verify_binary_identity(0, 10)
+    @pytest.mark.parametrize("m,order", [(0, 10), (1, -1)])
+    def test_bad_input_rejected(self, m, order):
+        with pytest.raises(ValueError, match="must be positive|must be non-negative"):
+            verify_binary_identity(m, order)
 
     def test_order_beyond_max_order_rejected(self):
         with pytest.raises(ValueError, match="order is limited"):
@@ -156,10 +156,13 @@ class TestBinaryIdentity:
         assert report["status"] == "FAIL"
         assert report["first_mismatch"]["n"] == 4
 
-    @pytest.mark.parametrize("m,order", [(2, 0), (2, 1), (51, 50), (10**6, 3)])
-    def test_multiplier_past_order(self, m, order):
-        # No factor (1+q^(2^k m)) reaches the order: both sides are 1.
+    @pytest.mark.parametrize("m,order", [(2, 0), (2, 1), (51, 50), (10**6, 3), (10**18, 3)])
+    def test_multiplier_past_order(self, request, m, order):
+        # No factor (1+q^(2^k m)) reaches the order: both sides are 1, written to the order.
+        tracemalloc.start()
+        request.addfinalizer(tracemalloc.stop)
         report = verify_binary_identity(m, order)
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
         assert report["status"] == "PASS" and report["order"] == order
 
     def test_subject_names_the_multiplier(self):
