@@ -17,7 +17,8 @@ import enum
 from itertools import accumulate
 from math import comb, isqrt
 
-from .series import _divide, binomial_power, pochhammer, product_power
+from . import series
+from .series import binomial_power, pochhammer, product_power
 from .valuation import FamilyId, exponents
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
@@ -77,7 +78,7 @@ def gf_series(family: FamilyId, order: int) -> list[int]:
     O(order^1.5).
     """
     numerator, denominator = FAMILIES[family]
-    return _divide(sparse_side(numerator, order), sparse_side(denominator, order), order)
+    return series._divide(sparse_side(numerator, order), sparse_side(denominator, order), order)
 
 
 def product_series(family: FamilyId, order: int) -> list[int]:

@@ -6,24 +6,24 @@ order is passed explicitly to every operation so two routes can never be
 compared at silently different orders. `pochhammer`, `product_power`, `mul`
 and `reciprocal` return the coefficients as a `TruncatedSeries`.
 
-Products of factors with non-negative coefficients, `product_power` and
-`binomial_power`, run packed: c_0..c_N become one int with c_k in the
-`bits`-wide slot N - k, so each pass over the series is a few big-int
-operations. `slot_bits` checks the exponent list and chooses a width no
-coefficient can outgrow, and `_unpack` reads the slots back.
+`product_power` and `binomial_power` run packed: c_0..c_N become one int
+with c_k in the `bits`-wide slot N - k, so a pass is a few big-int operations.
+Both run through `_expand`, which widens the slots as the partial product
+grows (`_top_bits`, `_widen`); `_unpack` reads them back.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from math import ceil, comb, exp, log, log1p, pi, sqrt
+from itertools import compress, repeat
+from math import comb
 from operator import mul as times
 from sys import byteorder
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 _WORD_TYPECODE = {array(t).itemsize: t for t in "BHILQ"}  # slot bytes -> array typecode
+_BIT_LENGTH = bytes(map(int.bit_length, range(256)))  # byte -> its bit length, for translate
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,6 @@ def _shift_add(dst: int, src: int, s: int, w: int, bits: int) -> int:
     return dst + (shifted if w == 1 else w * shifted)  # 1 * shifted would cost a pass
 
 
-def slot_bits(e: Sequence[int], order: int) -> int:
-    """A slot width in bits, a multiple of 8, that no coefficient of prod (1+q^n)^e[n] fills.
-
-    For 0 < x < 1 each coefficient c_k, k <= order, is at most
-    x^(-order) * prod_n (1+x^n)^e[n], since every factor has non-negative
-    coefficients. x = exp(-t) is taken near the saddle point of a product
-    with density rho = sum(e)/order, t = pi*sqrt(rho/(12*order)). The float
-    bound gets 2 bits of margin for rounding before it is rounded up to bytes.
-    Both packed expansions call it first, so it refuses the lists they cannot expand.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if len(e) <= order:
-        raise ValueError("e must give an exponent for every n <= order")
-    if min(e[1:order + 1], default=0) < 0:  # a division: the passes would skip the factor
-        n = next(n for n in range(1, order + 1) if e[n] < 0)
-        raise ValueError(f"exponent {e[n]} at n = {n} is negative")
-    total = sum(e[1:order + 1])
-    if total == 0:
-        return 8
-    t = pi * sqrt(total / 12) / order
-    log_bound = order * t + sum(e[n] * log1p(exp(-t * n))
-                                for n in compress(range(1, order + 1), e[1:order + 1]))
-    return 8 * ceil((log_bound / log(2) + 3) / 8)
-
-
 def _unpack(x: int, order: int, bits: int) -> list[int]:
     """[c_0, ..., c_order] of a packed series: slot order - k holds c_k.
 
@@ -146,8 +120,7 @@ def pochhammer(k: int, order: int) -> TruncatedSeries:
         raise ValueError("k must be >= 1")
     if order < 0:
         raise ValueError("order must be non-negative")
-    c = [0] * (order + 1)
-    c[0] = 1
+    c = [1] + [0] * order
     j = 1
     while k * j * (3 * j - 1) // 2 <= order:
         for e in (k * j * (3 * j - 1) // 2, k * j * (3 * j + 1) // 2):
@@ -157,31 +130,77 @@ def pochhammer(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
+def _top_bits(raw: bytes, bits: int) -> int:
+    """Bit length of the largest `bits`-wide slot in `raw`, off its top nonzero byte column."""
+    size = bits // 8
+    j = next((j for j in range(size - 1) if raw[j::size].count(0) < len(raw) // size), size - 1)
+    lengths = raw[j::size].translate(_BIT_LENGTH)
+    return 8 * (size - 1 - j) + max(filter(lengths.__contains__, range(9)))  # largest one present
+
+
+def _widen(raw: bytes, bits: int, wide: int) -> tuple[int, int]:
+    """`raw`'s slots moved into `wide`-bit ones by byte columns, and the width `_expand` uses."""
+    size, wider = bits // 8, wide // 8
+    out = bytearray(len(raw) // size * wider)
+    for j in range(size):
+        out[wider - size + j::wider] = raw[j::size]
+    return int.from_bytes(out, "big"), wide
+
+
+def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int]:
+    """[c_0, ..., c_order] of prod (1+q^n)^e[n]; `apply(c, ns, bits)` multiplies in those of ns.
+
+    From n = order down, in segments [lo, hi), lo = hi // 2, the n < 16 last. `most` bounds every
+    coefficient; a segment's E binomials multiply it by at most their count of monomials of degree
+    <= order. Each factor is >= 0 with constant term 1, so no pass exceeds its segment's end. When
+    `most` outgrows the slots, they are read back and widened only if the largest value needs it.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if len(e) <= order:
+        raise ValueError("e must give an exponent for every n <= order")
+    if min(e[1:order + 1], default=0) < 0:  # a division: the passes would skip the factor
+        n = next(n for n in range(1, order + 1) if e[n] < 0)
+        raise ValueError(f"exponent {e[n]} at n = {n} is negative")
+    bits, most, hi, c = 8, 1, order + 1, 1 << order * 8  # the series 1: c_0 = 1 in the top slot
+    while hi > 1:
+        lo = max(hi // 2, 16) if hi > 16 else 1
+        total, j = sum(e[lo:hi]), order // lo  # such a monomial has at most j of the E factors
+        growth = 1 << total if j >= total else sum(map(comb, repeat(total), range(j + 1)))
+        if (most * growth).bit_length() > bits:  # read back; the mask drops a top slot's carry
+            raw = (c & (1 << (order + 1) * bits) - 1).to_bytes((order + 1) * bits // 8, "big")
+            most = (1 << _top_bits(raw, bits)) - 1 if most > 1 else 1  # 1: no slot holds more
+            if (wide := -(-(most * growth).bit_length() // 8) * 8) > bits:
+                c, bits = _widen(raw, bits, wide)
+        most *= growth
+        c = apply(c, compress(range(hi - 1, lo - 1, -1), e[hi - 1:lo - 1:-1]), bits) if total else c
+        hi = lo
+    return _unpack(c, order, bits)
+
+
 def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
     """Expand prod_{n=1..order} (1+q^n)^e[n] mod q^(order+1); e[0] is unused.
 
-    Each (1+q^n) factor is one packed shift-add pass, applied e[n] times;
-    zero exponents cost nothing.
+    One packed shift-add pass per (1+q^n) factor, e[n] times; zero exponents cost nothing.
     """
-    bits = slot_bits(e, order)
-    c = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
-    for n in compress(range(1, order + 1), e[1:order + 1]):
-        for _ in range(e[n]):
-            c = _shift_add(c, c, n, 1, bits)
-    return TruncatedSeries(tuple(_unpack(c, order, bits)))
+    def apply(c: int, ns: Iterable[int], bits: int) -> int:
+        for n in ns:
+            for _ in range(e[n]):
+                c = _shift_add(c, c, n, 1, bits)
+        return c
+    return TruncatedSeries(tuple(_expand(e, order, apply)))
 
 
 def binomial_power(e: Sequence[int], order: int) -> list[int]:
     """f(0..order) by the bounded-knapsack DP over binomial-weighted multiplicities.
 
-    State is the remaining weight; the transition at part k chooses its
-    multiplicity t <= e[k] with weight C(e[k], t). Part k's choices sum to
-    (1+q^k)^e[k], so the DP runs packed, with `product_power`'s slot width.
+    State is the remaining weight; part k chooses its multiplicity t <= e[k] with weight
+    C(e[k], t). Those choices sum to (1+q^k)^e[k], so the DP runs packed through `_expand`.
     """
-    bits = slot_bits(e, order)
-    dp = 1 << order * bits  # the series 1: c_0 = 1 in the top slot
-    for k in compress(range(1, order + 1), e[1:]):
-        cap, before = e[k], dp
-        for t in range(1, min(cap, order // k) + 1):
-            dp = _shift_add(dp, before, k * t, comb(cap, t), bits)
-    return _unpack(dp, order, bits)
+    def apply(dp: int, parts: Iterable[int], bits: int) -> int:
+        for k in parts:
+            cap, before = e[k], dp
+            for t in range(1, min(cap, order // k) + 1):
+                dp = _shift_add(dp, before, k * t, comb(cap, t), bits)
+        return dp
+    return _expand(e, order, apply)

@@ -43,7 +43,7 @@ def test_every_exported_name_resolves():
 
 def test_fault_seams_have_one_binding():
     # Fault tests patch these where they are defined; a copy elsewhere would escape them.
-    seams = [series._shift_add, series.slot_bits, series._unpack, valuation.exponent]
+    seams = [series._shift_add, series._widen, series._unpack, series._divide, valuation.exponent]
     copies = [f"{m.__name__}.{attr}" for m in MODULES for attr, value in vars(m).items()
               if any(value is seam for seam in seams) and value.__module__ != m.__name__]
     assert copies == ["v2partitions.exponent"]  # the public re-export
@@ -343,12 +343,12 @@ def _crossed(*args):
     raise AssertionError("route boundary crossed")
 
 
-PACKED_KERNEL = [(series, name) for name in ("_shift_add", "slot_bits", "_unpack")]
+PACKED_KERNEL = [(series, name) for name in ("_shift_add", "_widen", "_unpack")]
 
 
 class TestRouteBoundaries:
     # Pins README's "What the routes share": brute reads neither the exponent
-    # rule nor the packed kernel (shift-add, slot width, unpacker) nor the
+    # rule nor the packed kernel (shift-add, widening, unpacker) nor the
     # binomial DP, and neither does gf.
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
@@ -508,7 +508,6 @@ class TestDivisorSumOracle:
             return divide(c, kept, order)
 
         monkeypatch.setattr(series, "_divide", faulty)
-        monkeypatch.setattr(families, "_divide", faulty)
         assert verify_family(family, BRUTE_LIMIT, include_brute=True)["status"] == "PASS"
         first = _first_difference(table(family, ORACLE_N, Route.GF), clean)
         assert first is not None and first > BRUTE_LIMIT
@@ -516,24 +515,72 @@ class TestDivisorSumOracle:
             _check_against_oracle(family, Route.GF)
 
 
-class TestSlotBits:
-    # The packed kernel is exact while every coefficient fits its slot. gf
-    # shares no code with the kernel, so its table says what the slots must hold.
+def _record_widths(monkeypatch):
+    """Patch `series._shift_add` to log [part, slot width, last source] per part.
+
+    A product pass shifts by its part; the binomial DP's passes for part k
+    shift by k, 2k, ... from one source. A pass with neither the shift nor
+    the source of the one before it starts the next part.
+    """
+    passes, shift_add = [], series._shift_add
+
+    def recorded(dst, src, s, w, bits):
+        if not passes or (s != passes[-1][0] and src is not passes[-1][2]):
+            passes.append([s, bits, src])
+        passes[-1][2] = src
+        return shift_add(dst, src, s, w, bits)
+
+    monkeypatch.setattr(series, "_shift_add", recorded)
+    return passes
+
+
+def _final_width(monkeypatch, expand, e, order):
+    widths, unpack = [], series._unpack
+    monkeypatch.setattr(series, "_unpack", lambda x, order, bits: widths.append(bits) or unpack(x, order, bits))
+    expand(e, order)
+    monkeypatch.undo()
+    return widths[-1]
+
+
+class TestSlotWidths:
+    # The packed kernel is exact while every coefficient fits its slot. The
+    # factors run from n = N down, so once part n is in, the series is the
+    # product over the parts >= n. Each width must hold that product's largest
+    # coefficient, computed here at one full width with no widening.
+    @pytest.mark.parametrize("expand", [series.product_power, series.binomial_power], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_slot_width_exceeds_every_gf_value(self, family):
+    def test_every_width_holds_its_partial_product(self, monkeypatch, family, expand):
+        for N in [*range(61), 170, 500, 2000]:
+            e = valuation.exponents(family, N)
+            passes = _record_widths(monkeypatch)
+            expand(e, N)
+            monkeypatch.undo()
+            assert [n for n, _, _ in passes] == sorted((n for n in range(1, N + 1) if e[n]), reverse=True)
+            full = 8 * (max(gf_series(family, N)).bit_length() // 8 + 1)
+            c = 1 << N * full
+            for i, (n, bits, _) in enumerate(passes):
+                for _ in range(e[n]):
+                    c = series._shift_add(c, c, n, 1, full)
+                if i + 1 == len(passes) or passes[i + 1][1] != bits:  # the last pass at this width
+                    assert max(series._unpack(c, N, full)).bit_length() <= bits, (N, n, bits)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_final_width_holds_every_gf_value(self, monkeypatch, family):
         for N in [*range(61), 500, 2000, 4000, 10_000]:
             need = max(gf_series(family, N)).bit_length()
-            assert series.slot_bits(valuation.exponents(family, N), N) > need, N
+            assert _final_width(monkeypatch, series.product_power, valuation.exponents(family, N), N) >= need, N
 
     @pytest.mark.parametrize("m", range(1, 51))
-    def test_slot_width_holds_binary_identity(self, m):
+    def test_binary_identity_stays_at_8_bits(self, monkeypatch, m):
         # The product side of the binary identity is 1/(1-q^m): every value is 0 or 1.
         e = [0] * 501
         n = m
         while n <= 500:
             e[n] = 1
             n *= 2
-        assert all(series.slot_bits(e[:N + 1], N) > 1 for N in range(501))
+        monkeypatch.setattr(series, "_widen", _crossed)
+        assert all(list(series.product_power(e[:N + 1], N).coeffs) == [int(k % m == 0) for k in range(N + 1)]
+                   for N in range(501))
 
 
 class TestReturnContract:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2partitions import TruncatedSeries, mul, pochhammer, product_power, reciprocal
-from v2partitions.series import _divide, _shift_add, _unpack, binomial_power, slot_bits
+from v2partitions.series import _divide, _expand, _shift_add, _top_bits, _unpack, _widen, binomial_power
 
 from oracles import (count_with, distinct_parts, partition_count, pochhammer_factors, product_expand,
                      unpack_slots)
@@ -29,6 +29,11 @@ coefficient = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-10**2
 
 def coefficients(n):
     return st.lists(coefficient, min_size=n, max_size=n)
+
+
+def expand_checks(e, order):
+    """The driver both packed expansions share, alone: it checks the list before any pass."""
+    return _expand(e, order, None)
 
 
 @pytest.mark.parametrize("call", [
@@ -179,11 +184,11 @@ class TestProductPower:
         expected = [count_with(n, distinct_parts) for n in range(4)]
         assert list(got.coeffs) == expected == [1, 1, 1, 2]
 
-    @pytest.mark.parametrize("expand", [product_power, binomial_power, slot_bits], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("expand", [product_power, binomial_power, expand_checks], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("e,order,message", [
         ([0, 1], 2, "every n <= order"),
         ([0, 2, -1], 2, "at n = 2 is negative"),  # not (1, 2, 1): (1+q)^2/(1+q^2) is 1 + 2q + 0q^2
-        ([0, -1, 0], 2, "at n = 1 is negative"),  # not a math domain error from slot_bits
+        ([0, -1, 0], 2, "at n = 1 is negative"),  # not a bound from a negative binomial count
         ([0], -1, "order must be non-negative"),
     ], ids=["short", "negative-at-2", "negative-at-1", "negative-order"])
     def test_bad_exponent_list_rejected(self, expand, e, order, message):
@@ -226,6 +231,19 @@ class TestPackedKernel:
             assert _unpack(x, order, bits) == unpack_slots(x, order, bits)
         full = (1 << (order + 1) * bits) - 1  # every slot at its maximum
         assert _unpack(full, order, bits) == [(1 << bits) - 1] * (order + 1)
+
+    # Slots of 1 to 17 bytes: random ones, and a top slot with only its low byte set,
+    # as c_0 = 1 is while every other slot is zero.
+    @pytest.mark.parametrize("size", range(1, 18))
+    @pytest.mark.parametrize("order", [0, 1, 2, 61])
+    def test_read_back_and_widening_match_reference_decoder(self, size, order):
+        bits, rng = 8 * size, random.Random(size * 1000 + order)
+        for x in [1 << order * bits, *(rng.getrandbits((order + 1) * bits) >> rng.randrange(bits)
+                                       for _ in range(20))]:
+            raw = x.to_bytes((order + 1) * size, "big")
+            assert _top_bits(raw, bits) == max(unpack_slots(x, order, bits)).bit_length()
+            widened, width = _widen(raw, bits, bits + 8 * rng.randrange(4))
+            assert unpack_slots(widened, order, width) == unpack_slots(x, order, bits)
 
     def test_order_zero(self):
         assert _unpack(1, 0, 8) == [1]

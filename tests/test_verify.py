@@ -9,6 +9,12 @@ from v2partitions import families, series, valuation, verify
 ALL_FAMILIES = list(FamilyId)
 
 
+def _cap_widths(monkeypatch, narrow):
+    """Cap every slot width at `narrow` bits, through the one function that widens slots."""
+    widen = series._widen
+    monkeypatch.setattr(series, "_widen", lambda raw, bits, wide: widen(raw, bits, min(wide, narrow)))
+
+
 class TestVerifyFamily:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_passes_at_100(self, family):
@@ -57,14 +63,14 @@ class TestVerifyFamily:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_slot_overflow_fails_against_gf_and_brute(self, monkeypatch, family):
-        # Slots one byte narrower than the narrowest whole-byte width that holds
-        # gf's largest value to n = 60. The first coefficient n that outgrows its
-        # slot carries into the slot above it, that of q^(n-1), so product and
+        # Slots capped one byte narrower than the narrowest whole-byte width that
+        # holds gf's largest value to n = 60. The first coefficient n that outgrows
+        # its slot carries into the slot above it, that of q^(n-1), so product and
         # binomial first differ from gf and brute at n - 1.
         gf = table(family, BRUTE_LIMIT, Route.GF)
         narrow = 8 * ((max(gf).bit_length() - 1) // 8)
         n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
-        monkeypatch.setattr(series, "slot_bits", lambda e, order: narrow)
+        _cap_widths(monkeypatch, narrow)
         report = verify_family(family, BRUTE_LIMIT, include_brute=True)
         assert report["status"] == "FAIL"
         values = report["first_mismatch"]["values"]
@@ -78,7 +84,33 @@ class TestVerifyFamily:
         order, narrow = 170, 24
         gf = table(family, order, Route.GF)
         n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
-        monkeypatch.setattr(series, "slot_bits", lambda e, order: narrow)
+        _cap_widths(monkeypatch, narrow)
+        report = verify_family(family, order)
+        assert report["status"] == "FAIL"
+        values = report["first_mismatch"]["values"]
+        assert report["first_mismatch"]["n"] == n - 1
+        assert values["gf"] == str(gf[n - 1]) != values["product"] == values["binomial"]
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_short_last_widening_fails_against_gf(self, monkeypatch, family):
+        # Each table's widenings but the last are honest. From the last on, the
+        # slots keep the width they had; a later segment would only try again.
+        # At N = 2000 that width is short of gf's largest value for every family.
+        order, widen = 2000, series._widen
+        before = []  # the width each honest widening starts from
+        monkeypatch.setattr(series, "_widen", lambda raw, bits, wide: before.append(bits) or widen(raw, bits, wide))
+        table(family, order, Route.PRODUCT)
+        calls = []
+
+        def short(raw, bits, wide):
+            if bits == 8:  # every table starts on 8-bit slots
+                calls.clear()
+            calls.append(wide)
+            return widen(raw, bits, wide if len(calls) < len(before) else bits)
+
+        monkeypatch.setattr(series, "_widen", short)
+        gf = table(family, order, Route.GF)
+        n = next(n for n, c in enumerate(gf) if c.bit_length() > before[-1])
         report = verify_family(family, order)
         assert report["status"] == "FAIL"
         values = report["first_mismatch"]["values"]
