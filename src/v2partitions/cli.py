@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_remark(args) -> int:
-    sys.stdout.write("".join(line + "\n" for line in remark_trace(FamilyId(args.family), args.n)))
+    sys.stdout.write("\n".join(remark_trace(FamilyId(args.family), args.n)) + "\n")
     return 0
 
 

@@ -91,12 +91,14 @@ def binomial_table(family: FamilyId, order: int) -> list[int]:
     return binomial_power(exponents(family, order), order)
 
 
-def enumerate_capped(n: int, caps: list[int]) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """All partitions of n with multiplicity of part k at most caps[k], as (terms, weight).
+def enumerate_capped(n: int, caps: list[int]) -> list[tuple[str, str, int]]:
+    """All partitions of n with multiplicity of part k at most caps[k], as rendered text.
 
-    terms lists the (part k, multiplicity t) pairs, t in 1..caps[k], largest part
-    first; weight is prod_k C(caps[k], t_k) >= 1. Partitions come in
-    lexicographically decreasing part order (largest part first).
+    Each partition is a (parts, factors, weight) triple such as
+    ("3+1+1", "C(2,1)*C(2,2)", 2): its parts, largest first, its factors
+    C(caps[k], t) for each part k used t times, 1 <= t <= caps[k], and its
+    weight prod_k C(caps[k], t_k) >= 1. Partitions come in lexicographically
+    decreasing part order (largest part first).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -107,19 +109,25 @@ def enumerate_capped(n: int, caps: list[int]) -> list[tuple[tuple[tuple[int, int
         raise ValueError(f"cap {caps[k]} of part {k} is negative")
     results = []
     reach = list(accumulate(k * cap for k, cap in enumerate(caps)))  # most parts <= k can sum to
+    # (k*t, "k+...+k", "C(caps[k],t)", C(caps[k], t)) for each t that fits in n, most copies first.
+    choices = [[]] + [[(k * t, "+".join([str(k)] * t), f"C({caps[k]},{t})", comb(caps[k], t))
+                       for t in range(min(caps[k], n // k), 0, -1)] for k in range(1, n + 1)]
 
-    def rec(remaining: int, max_part: int, terms: tuple[tuple[int, int], ...], weight: int) -> None:
-        # One (k, t) term per level: larger parts, then more copies, come first.
-        if remaining == 0:
-            results.append((terms, weight))
-            return
-        for k in range(min(max_part, remaining), 0, -1):
+    def rec(remaining: int, max_part: int, parts: str, factors: str, weight: int) -> None:
+        # max_part <= remaining; parts and factors end in their separators.
+        # Larger parts, then more copies, come first.
+        for k in range(max_part, 0, -1):
             if reach[k] < remaining:  # parts <= k cannot fill it, nor can smaller ones
                 return
-            for t in range(min(caps[k], remaining // k), 0, -1):
-                rec(remaining - k * t, k - 1, terms + ((k, t),), weight * comb(caps[k], t))
+            for size, run, factor, w in choices[k]:
+                if size < remaining:
+                    rest = remaining - size
+                    rec(rest, k - 1 if k <= rest else rest,
+                        parts + run + "+", factors + factor + "*", weight * w)
+                elif size == remaining:
+                    results.append((parts + run, factors + factor, weight * w))
 
-    rec(n, n, (), 1)
+    rec(n, n, "", "", 1)
     return results
 
 

@@ -81,16 +81,13 @@ def remark_trace(family: FamilyId, n: int) -> list[str]:
     """
     if n < 1 or n > BRUTE_LIMIT:
         raise ValueError(f"remark tableaux are limited to 1 <= n <= {BRUTE_LIMIT}")
-    caps = exponents(family, n)
-    partitions = enumerate_capped(n, caps)
-    total = sum(weight for _, weight in partitions)
+    partitions = enumerate_capped(n, exponents(family, n))
+    total = sum(weight for _, _, weight in partitions)
     expected = binomial_table(family, n)[n]
     if total != expected:
         raise AssertionError(
             f"tableau total {total} disagrees with binomial DP {expected} "
             f"for {family.value} at n={n}")
-    lines = [f"{'+'.join(str(k) for k, t in terms for _ in range(t))}  "
-             f"{'*'.join(f'C({caps[k]},{t})' for k, t in terms)} = {weight}"
-             for terms, weight in partitions]
+    lines = [f"{parts}  {factors} = {weight}" for parts, factors, weight in partitions]
     lines.append(f"total = {total}")
     return lines

@@ -2,10 +2,15 @@
 
 Everything here enumerates partitions literally (no series arithmetic,
 no DP shared with the package) so expected values are computed by a
-genuinely separate path. `eta_exponents` reads the FAMILIES quotients, the
+genuinely separate path. `capped_tableau` renders the `remark` tableau
+from `partitions`. `eta_exponents` reads the FAMILIES quotients, the
 data under test, and expands no series. `unpack_slots` is the reference
 decoder of the packed kernel's slots, one slot at a time.
 """
+
+from collections import Counter
+from itertools import groupby
+from math import comb, prod
 
 from v2partitions.families import FAMILIES
 
@@ -29,6 +34,21 @@ def partition_count(n):
 def count_with(n, keep):
     """Count partitions of n satisfying a predicate on the part tuple."""
     return sum(1 for p in partitions(n) if keep(p))
+
+
+def capped_tableau(n, caps):
+    """The `remark` lines of n, without the total: one per partition of n that
+    uses each part k at most caps[k] times, lexicographically decreasing, e.g.
+    "3+1+1  C(2,1)*C(2,2) = 2" with weight prod_k C(caps[k], t_k)."""
+    capped = sorted((p for p in partitions(n)
+                     if all(t <= caps[k] for k, t in Counter(p).items())), reverse=True)
+    lines = []
+    for p in capped:
+        runs = [(k, len(list(copies))) for k, copies in groupby(p)]
+        factors = "*".join(f"C({caps[k]},{t})" for k, t in runs)
+        weight = prod(comb(caps[k], t) for k, t in runs)
+        lines.append(f"{'+'.join(map(str, p))}  {factors} = {weight}")
+    return lines
 
 
 def distinct_parts(p):

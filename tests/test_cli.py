@@ -247,20 +247,39 @@ class TestRemark:
         code, _, _ = run(capsys, "remark", "--family", "pd", "--n", "61")
         assert code == 2
 
-    @pytest.mark.parametrize("family", FAMILY_TOKENS)
-    def test_tableau_golden_at_40(self, capsys, family):
-        # The whole tableau, byte for byte: the listing order, every term and weight.
-        lines, sha256 = {
+    # The whole tableau, byte for byte: the listing order, every term and weight.
+    # Each pin is (line count, sha256 of stdout).
+    TABLEAU_PINS = {
+        40: {
             "overpartition-odd": (2893, "8364b61a7048ae5a0a5e6e68131ea3add44e8d0b6f788288cccf486711de4a3b"),
             "ped": (2410, "4b26f69a63aee603703695adabf4e958bcb598c3b8ace887e63b2170a7bec00b"),
             "pd": (1114, "b1dadb81f9763914e0fb8dc25a1c4691da4e694f7377d41ca0fa43cd69abe139"),
             "pod": (1550, "380cdf1ffbbbf7260554e2c1a264fc1e5d020274384cda61b9bc2f02fe6767be"),
             "pe": (115, "746f3d927c3fedb215dda0632009e05e5047a7a9a426134bab7f5ab981361912"),
-        }[family]
-        code, out, _ = run(capsys, "remark", "--family", family, "--n", "40")
+        },
+        BRUTE_LIMIT: {  # the deepest tableau remark prints
+            "overpartition-odd": (34777, "87f102e1e4f4e79bf28343ccf6e353fa0d8bc25c942a4bde19afb3dd4e1e6d6e"),
+            "ped": (28819, "f5a5879d5721f4c3bacec3c4f24773220631544811ced2e87370f7e6b17eaaef"),
+            "pd": (10881, "ef455f3a5daaf6c446995dc345904206b92cd496039de2d17054757fa989a14a"),
+            "pod": (17035, "b356150f7958a0c3349b605e3fed32670dd80e3c76c59a9c2aac9dddf2cdec57"),
+            "pe": (610, "09d3647b66d5755e9ca1df8fc5191efe6d60123be4be41b6801caa8cfd41138f"),
+        },
+    }
+
+    def check_pinned_tableau(self, capsys, family, n):
+        lines, sha256 = self.TABLEAU_PINS[n][family]
+        code, out, _ = run(capsys, "remark", "--family", family, "--n", str(n))
         assert code == 0
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("family", FAMILY_TOKENS)
+    def test_tableau_golden_at_40(self, capsys, family):
+        self.check_pinned_tableau(capsys, family, 40)
+
+    @pytest.mark.parametrize("family", FAMILY_TOKENS)
+    def test_tableau_golden_at_brute_limit(self, capsys, family):
+        self.check_pinned_tableau(capsys, family, BRUTE_LIMIT)
 
 
 class TestBFileParsing:

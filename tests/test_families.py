@@ -2,7 +2,8 @@ import importlib
 import pkgutil
 import re
 from functools import cache
-from itertools import chain, count
+from itertools import chain, count, groupby
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -99,9 +100,9 @@ def test_readme_library_example_holds():
     assert checked > 0
 
 
-def parts(terms):
-    """The parts of an enumerate_capped partition in decreasing order, e.g. (3, 1, 1)."""
-    return tuple(k for k, t in terms for _ in range(t))
+def parts(text):
+    """The parts of an enumerate_capped partition's text in decreasing order, e.g. (3, 1, 1)."""
+    return tuple(map(int, text.split("+")))
 
 
 # Each family's generating function as the q-Pochhammer fraction
@@ -242,26 +243,31 @@ class TestEnumerateCapped:
     ])
     def test_worked_listings(self, family, n, expected_parts, expected_weights):
         got = enumerate_capped(n, valuation.exponents(family, n))
-        assert [parts(terms) for terms, _ in got] == expected_parts
-        assert [weight for _, weight in got] == expected_weights
+        assert [parts(text) for text, _, _ in got] == expected_parts
+        assert [weight for _, _, weight in got] == expected_weights
 
     def test_invariants(self):
         caps = valuation.exponents(FamilyId.OVERPARTITION_ODD, 12)
         listing = enumerate_capped(12, caps)
-        for terms, weight in listing:
-            assert sum(k * t for k, t in terms) == 12
-            sizes = [k for k, _ in terms]
+        for text, factors, weight in listing:
+            assert sum(parts(text)) == 12
+            sizes = [k for k, _ in groupby(parts(text))]
             assert sizes == sorted(set(sizes), reverse=True)  # strictly decreasing
-            assert all(1 <= t <= caps[k] for k, t in terms)
-            assert weight >= 1
-        assert ([parts(terms) for terms, _ in listing]
-                == sorted((parts(terms) for terms, _ in listing), reverse=True))
+            # One factor C(cap, t) per part size, in the same order, reading t and cap back.
+            terms = [tuple(map(int, f)) for f in re.findall(r"C\((\d+),(\d+)\)", factors)]
+            assert "*".join(f"C({cap},{t})" for cap, t in terms) == factors
+            assert [cap for cap, _ in terms] == [caps[k] for k in sizes]
+            assert [t for _, t in terms] == [len(list(run)) for _, run in groupby(parts(text))]
+            assert all(1 <= t <= caps[k] for k, (_, t) in zip(sizes, terms))
+            assert weight == prod(comb(cap, t) for cap, t in terms) >= 1
+        assert ([parts(text) for text, _, _ in listing]
+                == sorted((parts(text) for text, _, _ in listing), reverse=True))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
     def test_weight_sum_equals_binomial_sum(self, family, n):
         got = enumerate_capped(n, valuation.exponents(family, n))
-        assert sum(weight for _, weight in got) == binomial_table(family, n)[n]
+        assert sum(weight for _, _, weight in got) == binomial_table(family, n)[n]
 
     def test_short_caps_list_rejected(self):
         with pytest.raises(ValueError, match="every part k <= 5"):  # not an IndexError
@@ -270,7 +276,8 @@ class TestEnumerateCapped:
     def test_negative_cap_rejected(self):
         # A cap of -1 on part 2 lowered the reach of parts <= 2, which pruned 1+1+1
         # and listed only (3,).
-        assert [parts(terms) for terms, _ in enumerate_capped(3, [0, 3, 0, 1])] == [(3,), (1, 1, 1)]
+        listing = enumerate_capped(3, [0, 3, 0, 1])
+        assert [parts(text) for text, _, _ in listing] == [(3,), (1, 1, 1)]
         with pytest.raises(ValueError, match="cap -1 of part 2 is negative"):
             enumerate_capped(3, [0, 3, -1, 1])
 
@@ -282,7 +289,7 @@ class TestEnumerateCapped:
         caps = [0] + caps
         N = len(caps) - 1
         dp = series.binomial_power(caps, N)
-        weights = [1] + [sum(weight for _, weight in enumerate_capped(n, caps))
+        weights = [1] + [sum(weight for _, _, weight in enumerate_capped(n, caps))
                          for n in range(1, N + 1)]
         assert list(series.product_power(caps, N).coeffs) == dp == weights
 

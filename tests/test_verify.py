@@ -6,6 +6,8 @@ from v2partitions import (BRUTE_LIMIT, FamilyId, Route, binomial_table, remark_t
                           verify_binary_identity, verify_family)
 from v2partitions import families, series, valuation, verify
 
+import oracles
+
 ALL_FAMILIES = list(FamilyId)
 
 
@@ -218,6 +220,13 @@ class TestRemarkTrace:
         trace = remark_trace(FamilyId.OVERPARTITION_ODD, 5)
         assert "3+1+1  C(2,1)*C(2,2) = 2" in trace
         assert "5  C(2,1) = 2" in trace
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_lines_match_independent_tableau(self, family):
+        # Every line's text and its place, against a filter over all partitions of n.
+        for n in range(1, 31):
+            expected = oracles.capped_tableau(n, valuation.exponents(family, n))
+            assert remark_trace(family, n)[:-1] == expected, n
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 26))
