@@ -37,9 +37,11 @@ def count_with(n, keep):
 
 
 def capped_tableau(n, caps):
-    """The `remark` lines of n, without the total: one per partition of n that
-    uses each part k at most caps[k] times, lexicographically decreasing, e.g.
-    "3+1+1  C(2,1)*C(2,2) = 2" with weight prod_k C(caps[k], t_k)."""
+    """The `remark` lines of n without the total, e.g. "3+1+1  C(2,1)*C(2,2) = 2".
+
+    One line per partition of n that uses each part k at most caps[k] times,
+    in lexicographically decreasing order; the weight is prod_k C(caps[k], t_k).
+    """
     capped = sorted((p for p in partitions(n)
                      if all(t <= caps[k] for k, t in Counter(p).items())), reverse=True)
     lines = []

@@ -251,14 +251,14 @@ class TestEnumerateCapped:
         listing = enumerate_capped(12, caps)
         for text, factors, weight in listing:
             assert sum(parts(text)) == 12
-            sizes = [k for k, _ in groupby(parts(text))]
+            runs = [(k, len(list(copies))) for k, copies in groupby(parts(text))]
+            sizes = [k for k, _ in runs]
             assert sizes == sorted(set(sizes), reverse=True)  # strictly decreasing
-            # One factor C(cap, t) per part size, in the same order, reading t and cap back.
+            # One factor C(cap, t) per part size, in the same order: read cap and t back.
             terms = [tuple(map(int, f)) for f in re.findall(r"C\((\d+),(\d+)\)", factors)]
             assert "*".join(f"C({cap},{t})" for cap, t in terms) == factors
-            assert [cap for cap, _ in terms] == [caps[k] for k in sizes]
-            assert [t for _, t in terms] == [len(list(run)) for _, run in groupby(parts(text))]
-            assert all(1 <= t <= caps[k] for k, (_, t) in zip(sizes, terms))
+            assert terms == [(caps[k], t) for k, t in runs]
+            assert all(1 <= t <= caps[k] for k, t in runs)
             assert weight == prod(comb(cap, t) for cap, t in terms) >= 1
         assert ([parts(text) for text, _, _ in listing]
                 == sorted((parts(text) for text, _, _ in listing), reverse=True))
