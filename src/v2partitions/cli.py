@@ -1,10 +1,11 @@
 """Command-line front end: tables, verification runs, remark tableaux,
 and comparison against locally supplied b-files.
 
-Exit codes: 0 = success / all checks pass, 1 = mathematical mismatch,
-2 = usage or input error. All numeric output is decimal strings; nothing
-here ever touches floating point except the elapsed timing field, which
-`--stable` zeroes for golden-file comparisons.
+Exit codes: 0 = success / all checks pass, 1 = mathematical mismatch or a
+failed self-check (one FAIL line on stderr), 2 = usage or input error. All
+numeric output is decimal strings; nothing here ever touches floating point
+except the elapsed timing field, which `--stable` zeroes for golden-file
+comparisons.
 """
 
 from __future__ import annotations
@@ -200,13 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a ValueError from it is a usage error (exit 2)."""
+    """Run one subcommand: a ValueError is a usage error (exit 2), an AssertionError a FAIL (exit 1)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

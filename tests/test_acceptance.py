@@ -6,19 +6,11 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import json
 import time
 
-from v2partitions import (
-    FamilyId,
-    Route,
-    exponent,
-    pochhammer,
-    product_series,
-    reciprocal,
-    remark_trace,
-    table,
-    verify_binary_identity,
-    verify_family,
-)
+from v2partitions import FamilyId, Route, remark_trace, table, verify_binary_identity, verify_family
 from v2partitions.cli import main
+from v2partitions.families import product_series
+from v2partitions.series import pochhammer, reciprocal
+from v2partitions.valuation import exponent
 
 ALL_FAMILIES = list(FamilyId)
 ALL_ROUTES = [Route.GF, Route.PRODUCT, Route.BINOMIAL, Route.BRUTE]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2partitions import families
+from v2partitions import families, series, verify
 from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, build_parser, main, parse_bfile
 from v2partitions.families import BRUTE_LIMIT, MAX_ORDER, Route
 from v2partitions.valuation import FamilyId
@@ -43,6 +43,13 @@ def skewed_binomial(monkeypatch):
         return values
 
     monkeypatch.setattr(families, "binomial_table", skewed)
+
+
+@pytest.fixture
+def dropped_product_factor(monkeypatch):
+    """The binary identity's product side loses its factor (1+q^4)."""
+    monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
+        e[:4] + [0] + e[5:], order))
 
 
 class TestTable:
@@ -207,6 +214,19 @@ class TestVerify:
          '"status": "FAIL", "elapsed_ms": 0.0, "first_mismatch": {"n": 9, '
          '"values": {"gf": "8", "product": "8", "binomial": "9", "brute": "8"}}}\n'
          '{"subject": "binary-identity m<=50", "order": 40, "status": "PASS"}\n'),
+        # A failing m prints its own FAIL line, and the sweep's PASS line is left out.
+        ("dropped_product_factor", ["--families", "pe", "--limit", "16"], 1,
+         "PASS  pe  order=16  routes=gf,product,binomial  elapsed=-\n" + "".join(
+             f"FAIL  binary-identity m={m}  order=16  routes=binary-product,geometric-reciprocal  "
+             "elapsed=-  first mismatch at n=4: binary-product=0, geometric-reciprocal=1\n"
+             for m in (1, 2, 4)),
+         '{"subject": "pe", "order": 16, "routes": ["gf", "product", "binomial"], '
+         '"status": "PASS", "elapsed_ms": 0.0}\n' + "".join(
+             f'{{"subject": "binary-identity m={m}", "order": 16, '
+             '"routes": ["binary-product", "geometric-reciprocal"], "status": "FAIL", '
+             '"elapsed_ms": 0.0, "first_mismatch": {"n": 4, '
+             '"values": {"binary-product": "0", "geometric-reciprocal": "1"}}}\n'
+             for m in (1, 2, 4))),
     ])
     def test_stable_output_golden(self, capsys, request, fault, argv, code, text, json_lines):
         if fault:
@@ -220,6 +240,22 @@ class TestVerify:
         assert code == 1
         assert lines[0].startswith("FAIL  pd  order=20  ")
         assert lines[1:] == ["PASS  binary-identity m<=50  order=20"]
+
+    def test_tally_disagreement_is_one_fail_line(self, capsys, monkeypatch):
+        # pd's brute table raises when its two tallies differ; ped has printed by then.
+        original = families._count_partitions
+
+        def skewed(caps, size_factor=1):
+            counts = original(caps, size_factor)
+            if caps[2] == 0:  # the odd-parts tally: even parts are capped at 0
+                counts[5] += 1
+            return counts
+
+        monkeypatch.setattr(families, "_count_partitions", skewed)
+        assert run(capsys, "verify", "--families", "ped,pd,pe", "--limit", "10", "--brute",
+                   "--stable") == (
+            1, "PASS  ped  order=10  routes=gf,product,binomial,brute  elapsed=-\n",
+            "FAIL: distinct-parts and odd-parts tallies differ at n=5: 3 vs 4\n")
 
 
 class TestRemark:
@@ -246,6 +282,18 @@ class TestRemark:
     def test_out_of_policy_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "remark", "--family", "pd", "--n", "61")
         assert code == 2
+
+    def test_total_disagreeing_with_binomial_dp_is_one_fail_line(self, capsys, monkeypatch):
+        original = verify.binomial_table
+
+        def skewed(family, order):
+            values = original(family, order)
+            values[order] += 1
+            return values
+
+        monkeypatch.setattr(verify, "binomial_table", skewed)
+        assert run(capsys, "remark", "--family", "pd", "--n", "7") == (
+            1, "", "FAIL: tableau total 5 disagrees with binomial DP 6 for pd at n=7\n")
 
     # The whole tableau, byte for byte: the listing order, every term and weight.
     # Each pin is (line count, sha256 of stdout).

@@ -5,30 +5,18 @@ from functools import cache
 from itertools import chain, count, groupby
 from math import comb, prod
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2partitions import (
-    BRUTE_LIMIT,
-    FAMILIES,
-    FamilyId,
-    Route,
-    TruncatedSeries,
-    binomial_table,
-    brute_force_count,
-    enumerate_capped,
-    exponent,
-    gf_series,
-    mul,
-    pochhammer,
-    product_series,
-    reciprocal,
-    table,
-    verify_family,
-)
 import v2partitions
+from v2partitions import BRUTE_LIMIT, FAMILIES, FamilyId, Route, table, verify_family
 from v2partitions import families, series, valuation
+from v2partitions.families import (binomial_table, brute_force_count, enumerate_capped, gf_series,
+                                   product_series)
+from v2partitions.series import TruncatedSeries, mul, pochhammer, reciprocal
+from v2partitions.valuation import exponent
 
 import oracles
 
@@ -47,7 +35,13 @@ def test_fault_seams_have_one_binding():
     seams = [series._shift_add, series._widen, series._unpack, series._divide, valuation.exponent]
     copies = [f"{m.__name__}.{attr}" for m in MODULES for attr, value in vars(m).items()
               if any(value is seam for seam in seams) and value.__module__ != m.__name__]
-    assert copies == ["v2partitions.exponent"]  # the public re-export
+    assert copies == []
+
+
+def test_root_binds_only_the_exported_names():
+    public = {name for name, value in vars(v2partitions).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(v2partitions.__all__)
 
 
 def _readme_names(opening):
@@ -71,7 +65,7 @@ def _resolve(name):
 
 def test_readme_gone_names_resolve_nowhere():
     gone = _readme_names("These public names are gone:")
-    assert {"one", "CappedPartition", "TruncatedSeries.order"} <= set(gone)
+    assert {"one", "CappedPartition", "series.TruncatedSeries.order"} <= set(gone)
     for name in gone:
         assert name not in v2partitions.__all__, name
         owner, _, attr = name.rpartition(".")
@@ -80,7 +74,8 @@ def test_readme_gone_names_resolve_nowhere():
 
 def test_readme_tracer_names_resolve():
     kept = _readme_names("These public names stay only for the frozen benchmark tracer:")
-    assert {"TruncatedSeries", "mul", "reciprocal", "brute_force_count"} <= set(kept)
+    assert {"series.TruncatedSeries", "series.mul", "series.reciprocal",
+            "families.brute_force_count"} <= set(kept)
     for name in kept:
         _resolve(name)
 
@@ -269,9 +264,11 @@ class TestEnumerateCapped:
         got = enumerate_capped(n, valuation.exponents(family, n))
         assert sum(weight for _, _, weight in got) == binomial_table(family, n)[n]
 
-    def test_short_caps_list_rejected(self):
-        with pytest.raises(ValueError, match="every part k <= 5"):  # not an IndexError
-            enumerate_capped(5, [0, 1])
+    @pytest.mark.parametrize("n,message", [(0, "n must be positive"),
+                                           (5, "every part k <= 5")])  # not an IndexError
+    def test_bad_arguments_rejected(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_capped(n, [0, 1])
 
     def test_negative_cap_rejected(self):
         # A cap of -1 on part 2 lowered the reach of parts <= 2, which pruned 1+1+1
@@ -306,9 +303,10 @@ class TestBruteForce:
     def test_empty_partition(self, family):
         assert brute_force_count(family, 0) == 1
 
-    def test_limit_enforced(self):
-        with pytest.raises(ValueError):
-            brute_force_count(FamilyId.PD, 61)
+    @pytest.mark.parametrize("n,message", [(61, "limited to order <= 60"), (-1, "n must be non-negative")])
+    def test_limit_enforced(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            brute_force_count(FamilyId.PD, n)
 
     @pytest.mark.parametrize("family,keep", [
         (FamilyId.PED, oracles.even_parts_distinct),

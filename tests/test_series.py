@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2partitions import TruncatedSeries, mul, pochhammer, product_power, reciprocal
-from v2partitions.series import _divide, _expand, _shift_add, _top_bits, _unpack, _widen, binomial_power
+from v2partitions.series import (TruncatedSeries, _divide, _expand, _shift_add, _top_bits, _unpack, _widen,
+                                 binomial_power, mul, pochhammer, product_power, reciprocal)
 
 from oracles import (count_with, distinct_parts, partition_count, pochhammer_factors, product_expand,
                      unpack_slots)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from v2partitions import FamilyId, exponent
+from v2partitions.valuation import FamilyId, exponent
 
 from oracles import v2_by_division
 

@@ -2,9 +2,10 @@ import tracemalloc
 
 import pytest
 
-from v2partitions import (BRUTE_LIMIT, FamilyId, Route, binomial_table, remark_trace, table,
-                          verify_binary_identity, verify_family)
+from v2partitions import (BRUTE_LIMIT, FamilyId, Route, remark_trace, table, verify_binary_identity,
+                          verify_family)
 from v2partitions import families, series, valuation, verify
+from v2partitions.families import binomial_table
 
 import oracles
 
