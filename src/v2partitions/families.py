@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from itertools import accumulate
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from . import series
 from .series import binomial_power, pochhammer, product_power
@@ -33,17 +33,21 @@ class Route(enum.Enum):
 
 
 # Each family's generating function as one quotient (numerator, denominator)
-# of sparse series, each side ("f", k) for f_k = (q^k; q^k)_inf, ("phi", k) for
-# phi(-q^k), ("psi", s) for psi(s q) with s = +-1, or None for 1. Euler's
-# identities turn each q-Pochhammer fraction into an eta quotient, e.g.
-# (-q; q^2)_inf = f2^2/(f1 f4), and Gauss's and Jacobi's phi(-q) = f1^2/f2,
-# phi(-q^2) = f2^2/f4 and psi(-q) = f1 f4/f2 fold it into one quotient
-# (Hirschhorn, The Power of q).
+# of sparse series. A side is ("f", k) for f_k = (q^k; q^k)_inf, ("phi", s*k)
+# for phi(s q^k), ("psi", s) for psi(s q), with s = +-1 and k >= 1, or None
+# for 1, so a side (kind, j) is a series in q^|j|. Euler's identities turn
+# each q-Pochhammer fraction into an eta quotient, e.g. (-q; q^2)_inf =
+# f2^2/(f1 f4), and Gauss's and Jacobi's phi(-q) = f1^2/f2, phi(q) =
+# f2^5/(f1^2 f4^2), phi(-q^2) = f2^2/f4 and psi(-q) = f1 f4/f2 fold it into
+# one quotient with the sparsest denominator found (Hirschhorn, The Power of
+# q). The division pays one big-int add per coefficient for each nonzero
+# denominator term past the constant: at N = 2000 there are 31, 72, 44, 62
+# and 50 (pe divides in q^2, at order N/2).
 Side = tuple[str, int] | None
 FAMILIES: dict[FamilyId, tuple[Side, Side]] = {
-    FamilyId.OVERPARTITION_ODD: (("phi", 2), ("phi", 1)),  # f2^3/(f1^2 f4)
+    FamilyId.OVERPARTITION_ODD: (("phi", 1), ("phi", -2)),  # f2^3/(f1^2 f4)
     FamilyId.PED: (("f", 4), ("f", 1)),
-    FamilyId.PD: (("f", 2), ("f", 1)),
+    FamilyId.PD: (("f", 1), ("phi", -1)),  # f2/f1
     FamilyId.POD: (None, ("psi", -1)),  # f2/(f1 f4)
     FamilyId.PE: (None, ("f", 2)),
 }
@@ -59,9 +63,9 @@ def sparse_side(side: Side, order: int) -> list[int]:
     if kind == "f":
         return list(pochhammer(k, order).coeffs)
     c = [1] + [0] * order
-    if kind == "phi":  # phi(-q^k) = sum_n (-1)^n q^(k n^2), n and -n together
-        for n in range(1, isqrt(order // k) + 1):
-            c[k * n * n] = 2 * (-1) ** n
+    if kind == "phi":  # phi(s q^|k|) = sum_n s^n q^(|k| n^2), s the sign of k, n and -n together
+        for n in range(1, isqrt(order // abs(k)) + 1):
+            c[abs(k) * n * n] = 2 * (k // abs(k)) ** n
     else:  # psi(k q) = sum_{n>=0} k^(T_n) q^(T_n), T_n = n(n+1)/2
         t, n = 1, 1
         while t <= order:
@@ -74,11 +78,17 @@ def sparse_side(side: Side, order: int) -> list[int]:
 def gf_series(family: FamilyId, order: int) -> list[int]:
     """Expand the family's quotient to `order` by one division.
 
-    Both sides have O(order^0.5) nonzero terms, so the division costs
-    O(order^1.5).
+    Both sides are series in q^d, d the gcd of their dilations |j|. It
+    divides them written in q (each j over d) at order // d and spreads the
+    quotient to every d-th index. Both sides have O(order^0.5) nonzero terms,
+    so the division costs O(order^1.5).
     """
-    numerator, denominator = FAMILIES[family]
-    return series._divide(sparse_side(numerator, order), sparse_side(denominator, order), order)
+    sides = FAMILIES[family]
+    d = gcd(*(abs(side[1]) for side in sides if side)) or 1
+    numerator, denominator = (sparse_side(side and (side[0], side[1] // d), order // d) for side in sides)
+    spread = [0] * (order + 1)
+    spread[::d] = series._divide(numerator, denominator, order // d)
+    return spread
 
 
 def product_series(family: FamilyId, order: int) -> list[int]:

@@ -144,7 +144,8 @@ def divisor_sum_table(free, distinct, order):
 def side_eta(side):
     """A FAMILIES side as an eta quotient {k: power of f_k}.
 
-    phi(-q^k) = f_k^2/f_2k (Gauss), psi(q) = f2^2/f1 and psi(-q) = f1 f4/f2;
+    ("phi", s*k) is phi(s q^k), s = +-1: phi(-q^k) = f_k^2/f_2k (Gauss) and
+    phi(q^k) = f_2k^5/(f_k^2 f_4k^2); psi(q) = f2^2/f1 and psi(-q) = f1 f4/f2.
     tests/test_families.py pins each against the closed form to N = 2000.
     """
     if side is None:
@@ -153,7 +154,8 @@ def side_eta(side):
     if kind == "f":
         return {k: 1}
     if kind == "phi":
-        return {k: 2, 2 * k: -1}
+        m = abs(k)
+        return {m: 2, 2 * m: -1} if k < 0 else {m: -2, 2 * m: 5, 4 * m: -2}
     return {1: 1, 4: 1, 2: -1} if k == -1 else {2: 2, 1: -1}
 
 

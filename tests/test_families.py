@@ -133,6 +133,20 @@ class TestGfSeries:
         with pytest.raises(ValueError, match="non-negative"):
             gf_series(family, -1)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_divides_once_at_order_over_step(self, monkeypatch, family):
+        # pe = 1/f2 is a series in q^2, so it divides 1/f1 at half the order
+        orders, divide = [], series._divide
+        monkeypatch.setattr(series, "_divide",
+                            lambda c, a, order: orders.append(order) or divide(c, a, order))
+        gf_series(family, 2000)
+        assert orders == [1000 if family is FamilyId.PE else 2000]
+
+    @pytest.mark.parametrize("N", range(8))
+    def test_even_parts_at_small_orders(self, N):
+        # odd N leaves the spread one index past the last even one
+        assert gf_series(FamilyId.PE, N) == table(FamilyId.PE, N, Route.BRUTE)
+
     def test_quotients_are_distinct(self):
         assert len({FAMILIES[family] for family in ALL_FAMILIES}) == 5
 
@@ -151,8 +165,8 @@ class TestGfSeries:
             dense = mul(expand(numerator), dense, N)
         assert gf_series(family, N) == list(dense.coeffs)
 
-    @pytest.mark.parametrize("side", [("phi", 1), ("phi", 2), ("psi", 1), ("psi", -1)],
-                             ids=["phi(-q)", "phi(-q^2)", "psi(q)", "psi(-q)"])
+    @pytest.mark.parametrize("side", [("phi", -1), ("phi", -2), ("phi", 1), ("psi", 1), ("psi", -1)],
+                             ids=["phi(-q)", "phi(-q^2)", "phi(q)", "psi(q)", "psi(-q)"])
     def test_theta_series_equals_eta_quotient(self, side):
         # The identities gf_series and oracles.eta_exponents rest on, to N = 2000:
         # each closed-form theta series against its eta quotient, expanded

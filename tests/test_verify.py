@@ -128,6 +128,13 @@ class TestVerifyFamily:
         assert report["status"] == "FAIL"
         assert report["first_mismatch"] == {"n": 2, "values": {"gf": "0", "product": "2", "binomial": "2"}}
 
+    def test_undilated_even_parts_fails_at_one(self, monkeypatch):
+        # 1/f1, p(n) at every n, in place of 1/f2: the even-parts table left unspread
+        monkeypatch.setitem(families.FAMILIES, FamilyId.PE, (None, ("f", 1)))
+        report = verify_family(FamilyId.PE, 20)
+        assert report["status"] == "FAIL"
+        assert report["first_mismatch"] == {"n": 1, "values": {"gf": "1", "product": "0", "binomial": "0"}}
+
     def test_gf_table_one_term_short_fails_at_missing_index(self, monkeypatch):
         original = families.gf_series
         monkeypatch.setattr(families, "gf_series",
