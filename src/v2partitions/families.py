@@ -61,7 +61,7 @@ def sparse_side(side: Side, order: int) -> list[int]:
         return [1] + [0] * order
     kind, k = side
     if kind == "f":
-        return list(pochhammer(k, order).coeffs)
+        return pochhammer(k, order)
     c = [1] + [0] * order
     if kind == "phi":  # phi(s q^|k|) = sum_n s^n q^(|k| n^2), s the sign of k, n and -n together
         for n in range(1, isqrt(order // abs(k)) + 1):
@@ -93,7 +93,7 @@ def gf_series(family: FamilyId, order: int) -> list[int]:
 
 def product_series(family: FamilyId, order: int) -> list[int]:
     """Expand prod_{n>=1} (1+q^n)^v(n) with the family's exponent rule."""
-    return list(product_power(exponents(family, order), order).coeffs)
+    return list(product_power(exponents(family, order), order))
 
 
 def binomial_table(family: FamilyId, order: int) -> list[int]:

@@ -4,7 +4,7 @@ A series is a dense coefficient list c_0..c_N representing a power
 series mod q^(N+1). All arithmetic is exact (Python ints); the truncation
 order is passed explicitly to every operation so two routes can never be
 compared at silently different orders. `pochhammer`, `product_power`, `mul`
-and `reciprocal` return the coefficients as a `TruncatedSeries`.
+and `reciprocal` return a `TruncatedSeries`, a list whose `coeffs` is itself.
 
 `product_power` and `binomial_power` run packed: c_0..c_N become one int
 with c_k in the `bits`-wide slot N - k, so a pass is a few big-int operations.
@@ -15,41 +15,36 @@ grows (`_top_bits`, `_widen`); `_unpack` reads them back.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from itertools import compress, repeat
 from math import comb
 from operator import mul as times
 from sys import byteorder
-from typing import Callable, Iterable, Sequence
 
 _WORD_TYPECODE = {array(t).itemsize: t for t in "BHILQ"}  # slot bytes -> array typecode
 _BIT_LENGTH = bytes(map(int.bit_length, range(256)))  # byte -> its bit length, for translate
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series mod q^(len(coeffs)); coeffs[i] is the coefficient of q^i."""
+class TruncatedSeries(list):
+    """Power series mod q^(len(self)); self[i] is the coefficient of q^i."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise ValueError("a truncated series has at least the constant coefficient")
+    coeffs = property(lambda self: self)  # the name the benchmark tracer reads
 
 
-def mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
+def mul(a: Sequence[int], b: Sequence[int], order: int) -> TruncatedSeries:
     """Cauchy product truncated at `order` (schoolbook convolution)."""
-    ac, bc = a.coeffs, b.coeffs
-    if len(ac) <= order or len(bc) <= order:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if len(a) <= order or len(b) <= order:
         raise ValueError("both factors must carry coefficients up to the requested order")
-    return TruncatedSeries(tuple(sum(map(times, ac[:k + 1], bc[k::-1])) for k in range(order + 1)))
+    return TruncatedSeries(sum(map(times, a[:k + 1], b[k::-1])) for k in range(order + 1))
 
 
-def reciprocal(a: TruncatedSeries, order: int) -> TruncatedSeries:
+def reciprocal(a: Sequence[int], order: int) -> TruncatedSeries:
     """Multiplicative inverse mod q^(order+1); requires constant term 1."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return TruncatedSeries(tuple(_divide([1] + [0] * order, a.coeffs, order)))
+    return TruncatedSeries(_divide([1] + [0] * order, a, order))
 
 
 def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
@@ -64,10 +59,10 @@ def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
     below len(r) and never runs dry. Summing each coefficient's cursors with
     `map(next, ...)` runs the inner loop in C.
     """
+    if len(c) <= order or len(a) <= order:
+        raise ValueError("input must carry coefficients up to the requested order")
     if a[0] != 1:
         raise ValueError("reciprocal requires constant term 1")
-    if len(a) <= order:
-        raise ValueError("input must carry coefficients up to the requested order")
     starts = {i: ai for i, ai in enumerate(a[1:order + 1], start=1) if ai}
     cursors: dict[int, list] = {}  # a_i -> cursors of the terms with that coefficient
     r = [c[0]]
@@ -127,7 +122,7 @@ def pochhammer(k: int, order: int) -> TruncatedSeries:
             if e <= order:
                 c[e] = -1 if j % 2 else 1
         j += 1
-    return TruncatedSeries(tuple(c))
+    return TruncatedSeries(c)
 
 
 def _top_bits(raw: bytes, bits: int) -> int:
@@ -188,7 +183,7 @@ def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
             for _ in range(e[n]):
                 c = _shift_add(c, c, n, 1, bits)
         return c
-    return TruncatedSeries(tuple(_expand(e, order, apply)))
+    return TruncatedSeries(_expand(e, order, apply))
 
 
 def binomial_power(e: Sequence[int], order: int) -> list[int]:

@@ -68,7 +68,7 @@ def verify_binary_identity(m: int, order: int) -> dict:
     while n <= order:
         e[n] = 1
         n *= 2
-    tables = {"binary-product": list(product_power(e, order).coeffs),
+    tables = {"binary-product": product_power(e, order),
               "geometric-reciprocal": (([1] + [0] * min(m - 1, order)) * (order // m + 1))[:order + 1]}
     return _report(f"binary-identity m={m}", order, tables, start)
 

@@ -501,6 +501,16 @@ def test_python_dash_m_runs_the_cli():
     assert refused.stderr.startswith("error:") and refused.stdout == ""
 
 
+def test_cli_import_stays_lean():
+    # Every CLI call pays for what the package imports, and it needs none of these three.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import v2partitions.cli; "
+            "print(*[m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def _closed_stdout_run(**env_extra):
     # Far more output than the pipe holds, and the reader closes after one line.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
