@@ -112,30 +112,23 @@ def _print_result(d: dict, fmt: str, stable: bool) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.families == "all":
-        families = list(FamilyId)
-    else:
-        # argparse does not check these tokens. dict.fromkeys drops repeated
-        # tokens and keeps the first-named order.
-        families = []
-        for tok in dict.fromkeys(args.families.split(",")):
-            if tok not in FAMILY_TOKENS:
-                raise ValueError(f"unknown family {tok!r}")
-            families.append(FamilyId(tok))
-    families_pass = sweep_pass = True
-    for family in families:
+    tokens = FAMILY_TOKENS if args.families == "all" else args.families.split(",")
+    families = []
+    for tok in dict.fromkeys(tokens):  # argparse does not check them; repeats go, order stays
+        if tok not in FAMILY_TOKENS:
+            raise ValueError(f"unknown family {tok!r}")
+        families.append(FamilyId(tok))
+    failed = False
+    for family in families:  # print each as it finishes: a later self-check may raise
         report = verify_family(family, args.limit, include_brute=args.brute)
         _print_result(report, args.format, args.stable)
-        families_pass &= report["status"] == "PASS"
-    for m in range(1, BINARY_IDENTITY_SWEEP + 1):
-        report = verify_binary_identity(m, args.limit)
-        if report["status"] != "PASS":
-            _print_result(report, args.format, args.stable)
-            sweep_pass = False
-    if sweep_pass:
-        _print_result({"subject": f"binary-identity m<={BINARY_IDENTITY_SWEEP}",
-                       "order": args.limit, "status": "PASS"}, args.format, args.stable)
-    return 0 if families_pass and sweep_pass else 1
+        failed |= report["status"] != "PASS"
+    sweep = [r for m in range(1, BINARY_IDENTITY_SWEEP + 1)
+             if (r := verify_binary_identity(m, args.limit))["status"] != "PASS"]
+    for report in sweep or [{"subject": f"binary-identity m<={BINARY_IDENTITY_SWEEP}",
+                             "order": args.limit, "status": "PASS"}]:
+        _print_result(report, args.format, args.stable)
+    return 1 if failed or sweep else 0
 
 
 def cmd_remark(args) -> int:

@@ -42,8 +42,6 @@ def mul(a: Sequence[int], b: Sequence[int], order: int) -> TruncatedSeries:
 
 def reciprocal(a: Sequence[int], order: int) -> TruncatedSeries:
     """Multiplicative inverse mod q^(order+1); requires constant term 1."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
     return TruncatedSeries(_divide([1] + [0] * order, a, order))
 
 
@@ -59,6 +57,8 @@ def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
     below len(r) and never runs dry. Summing each coefficient's cursors with
     `map(next, ...)` runs the inner loop in C.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if len(c) <= order or len(a) <= order:
         raise ValueError("input must carry coefficients up to the requested order")
     if a[0] != 1:

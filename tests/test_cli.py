@@ -188,8 +188,8 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    @pytest.mark.parametrize("fault,argv,code,text,json_lines", [
-        (None, ["--families", "pd,pe", "--limit", "60"], 0,
+    @pytest.mark.parametrize("faults,argv,code,text,json_lines", [
+        ((), ["--families", "pd,pe", "--limit", "60"], 0,
          "PASS  pd  order=60  routes=gf,product,binomial  elapsed=-\n"
          "PASS  pe  order=60  routes=gf,product,binomial  elapsed=-\n"
          "PASS  binary-identity m<=50  order=60\n",
@@ -198,7 +198,7 @@ class TestVerify:
          '{"subject": "pe", "order": 60, "routes": ["gf", "product", "binomial"], '
          '"status": "PASS", "elapsed_ms": 0.0}\n'
          '{"subject": "binary-identity m<=50", "order": 60, "status": "PASS"}\n'),
-        ("short_gf", ["--families", "pd", "--limit", "20"], 1,
+        (("short_gf",), ["--families", "pd", "--limit", "20"], 1,
          "FAIL  pd  order=20  routes=gf,product,binomial  elapsed=-  "
          "first mismatch at n=20: gf=None, product=64, binomial=64\n"
          "PASS  binary-identity m<=50  order=20\n",
@@ -206,7 +206,7 @@ class TestVerify:
          '"status": "FAIL", "elapsed_ms": 0.0, "first_mismatch": {"n": 20, '
          '"values": {"gf": null, "product": "64", "binomial": "64"}}}\n'
          '{"subject": "binary-identity m<=50", "order": 20, "status": "PASS"}\n'),
-        ("skewed_binomial", ["--families", "pd", "--limit", "40", "--brute"], 1,
+        (("skewed_binomial",), ["--families", "pd", "--limit", "40", "--brute"], 1,
          "FAIL  pd  order=40  routes=gf,product,binomial,brute  elapsed=-  "
          "first mismatch at n=9: gf=8, product=8, binomial=9, brute=8\n"
          "PASS  binary-identity m<=50  order=40\n",
@@ -215,7 +215,7 @@ class TestVerify:
          '"values": {"gf": "8", "product": "8", "binomial": "9", "brute": "8"}}}\n'
          '{"subject": "binary-identity m<=50", "order": 40, "status": "PASS"}\n'),
         # A failing m prints its own FAIL line, and the sweep's PASS line is left out.
-        ("dropped_product_factor", ["--families", "pe", "--limit", "16"], 1,
+        (("dropped_product_factor",), ["--families", "pe", "--limit", "16"], 1,
          "PASS  pe  order=16  routes=gf,product,binomial  elapsed=-\n" + "".join(
              f"FAIL  binary-identity m={m}  order=16  routes=binary-product,geometric-reciprocal  "
              "elapsed=-  first mismatch at n=4: binary-product=0, geometric-reciprocal=1\n"
@@ -227,12 +227,35 @@ class TestVerify:
              '"elapsed_ms": 0.0, "first_mismatch": {"n": 4, '
              '"values": {"binary-product": "0", "geometric-reciprocal": "1"}}}\n'
              for m in (1, 2, 4))),
+        # A failing family and failing m in one run: both FAIL, still no sweep PASS line.
+        (("skewed_binomial", "dropped_product_factor"), ["--families", "pd", "--limit", "16"], 1,
+         "FAIL  pd  order=16  routes=gf,product,binomial  elapsed=-  "
+         "first mismatch at n=9: gf=8, product=8, binomial=9\n" + "".join(
+             f"FAIL  binary-identity m={m}  order=16  routes=binary-product,geometric-reciprocal  "
+             "elapsed=-  first mismatch at n=4: binary-product=0, geometric-reciprocal=1\n"
+             for m in (1, 2, 4)),
+         '{"subject": "pd", "order": 16, "routes": ["gf", "product", "binomial"], '
+         '"status": "FAIL", "elapsed_ms": 0.0, "first_mismatch": {"n": 9, '
+         '"values": {"gf": "8", "product": "8", "binomial": "9"}}}\n' + "".join(
+             f'{{"subject": "binary-identity m={m}", "order": 16, '
+             '"routes": ["binary-product", "geometric-reciprocal"], "status": "FAIL", '
+             '"elapsed_ms": 0.0, "first_mismatch": {"n": 4, '
+             '"values": {"binary-product": "0", "geometric-reciprocal": "1"}}}\n'
+             for m in (1, 2, 4))),
     ])
-    def test_stable_output_golden(self, capsys, request, fault, argv, code, text, json_lines):
-        if fault:
+    def test_stable_output_golden(self, capsys, request, faults, argv, code, text, json_lines):
+        for fault in faults:
             request.getfixturevalue(fault)
         for fmt, expected in (("text", text), ("json", json_lines)):
             assert run(capsys, "verify", *argv, "--stable", "--format", fmt) == (code, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("brute", [[], ["--brute"]])
+    def test_all_is_every_family_in_token_order(self, capsys, fmt, brute):
+        args = ["--limit", "40", "--stable", "--format", fmt, *brute]
+        named = run(capsys, "verify", "--families", "overpartition-odd,ped,pd,pod,pe", *args)
+        assert named == run(capsys, "verify", "--families", "all", *args)
+        assert named[1].count("\n") == 6 and named[0] == 0
 
     def test_family_fail_keeps_the_sweep_status_line(self, capsys, skewed_binomial):
         code, out, _ = run(capsys, "verify", "--families", "pd", "--limit", "20")
