@@ -11,12 +11,14 @@ comparisons.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
 import os
 import re
 import sys
+from operator import lt
 
 from .families import BRUTE_LIMIT, MAX_ORDER, Route, table
 from .valuation import FamilyId
@@ -28,6 +30,8 @@ ROUTE_TOKENS = [r.value for r in Route]
 BINARY_IDENTITY_SWEEP = 50      # m <= 50 checked in every verify run
 _DECIMAL = re.compile(r"-?[0-9]+")  # a b-file field; int() alone also takes "1_0" and "+1"
 _FIELD_SEP = re.compile(r"[ \t]+")  # str.split() would also split on \v \f and 0x1c-0x1f
+# One match per line: a pair, a comment or blank. Nothing in it crosses a line end.
+_LINE = re.compile(rb"^[ \t]*(?:(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*|#.*|)$", re.M)
 
 
 def parse_bfile(path: str) -> list[tuple[int, int]]:
@@ -43,7 +47,16 @@ def parse_bfile(path: str) -> list[tuple[int, int]]:
             data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    entries: list[tuple[int, int]] = []
+    text = data.replace(b"\r", b"\n")  # as splitlines() does; \r\n leaves a blank line
+    rows = _LINE.findall(text) if text.isascii() else []
+    if len(rows) == text.count(b"\n") + 1:  # every line matched
+        with contextlib.suppress(ValueError):  # int() raises past its digit limit
+            entries = [(int(n), int(v)) for n, v in rows if n]
+            indices = [n for n, _ in entries]
+            if all(map(lt, [-1, *indices], indices)):  # non-negative, strictly increasing
+                return entries
+    # A file the passes above do not accept is walked line by line to word its error.
+    entries = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         where = f"{path}: line {lineno}"
         try:  # ASCII only, so no Unicode space (e.g. U+00A0) separates fields

@@ -68,8 +68,9 @@ def verify_binary_identity(m: int, order: int) -> dict:
     while n <= order:
         e[n] = 1
         n *= 2
-    tables = {"binary-product": product_power(e, order),
-              "geometric-reciprocal": (([1] + [0] * min(m - 1, order)) * (order // m + 1))[:order + 1]}
+    c = [0] * (order + 1)  # 1/(1-q^m): a 1 at every multiple of m
+    c[::m] = [1] * (order // m + 1)
+    tables = {"binary-product": product_power(e, order), "geometric-reciprocal": c}
     return _report(f"binary-identity m={m}", order, tables, start)
 
 

@@ -5,9 +5,11 @@ no DP shared with the package) so expected values are computed by a
 genuinely separate path. `capped_tableau` renders the `remark` tableau
 from `partitions`. `eta_exponents` reads the FAMILIES quotients, the
 data under test, and expands no series. `unpack_slots` is the reference
-decoder of the packed kernel's slots, one slot at a time.
+decoder of the packed kernel's slots, one slot at a time. `parse_bfile_walk`
+is the reference b-file parser, one line at a time.
 """
 
+import re
 from collections import Counter
 from itertools import groupby
 from math import comb, prod
@@ -178,3 +180,41 @@ def unpack_slots(x, order, bits):
     size, width = bits // 8, (order + 1) * bits
     raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
     return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+_FIELD_SEP = re.compile(r"[ \t]+")
+
+
+def parse_bfile_walk(path):
+    """`cli.parse_bfile` as a walk over `bytes.splitlines()`: the same pairs or ValueError text."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    entries = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        where = f"{path}: line {lineno}"
+        try:
+            line = raw.decode("ascii").strip(" \t")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}: non-ASCII byte 0x{raw[exc.start]:02x} "
+                             f"at column {exc.start + 1}") from None
+        if not line or line.startswith("#"):
+            continue
+        fields = _FIELD_SEP.split(line)
+        if len(fields) != 2:
+            raise ValueError(f"{where}: expected '<n> <value>', got {line!r}")
+        try:
+            if not all(_DECIMAL.fullmatch(field) for field in fields):
+                raise ValueError
+            index, value = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"{where}: non-integer field in {line!r}") from None
+        if index < 0:
+            raise ValueError(f"{where}: negative index {index}")
+        if entries and index <= entries[-1][0]:
+            raise ValueError(f"{where}: index {index} not strictly increasing")
+        entries.append((index, value))
+    return entries

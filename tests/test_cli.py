@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from v2partitions import families, series, verify
 from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, build_parser, main, parse_bfile
 from v2partitions.families import BRUTE_LIMIT, MAX_ORDER, Route
 from v2partitions.valuation import FamilyId
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -366,9 +369,12 @@ class TestBFileParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_bfile(str(f))
 
-    @pytest.mark.parametrize("bad_line", ["1_0 2", "0 +1"])
+    @pytest.mark.parametrize("bad_line", ["1_0 2", "0 +1",
+                                          pytest.param("9" * 4301 + " 2", id="4301-digit-index"),
+                                          pytest.param("1 " + "9" * 4301, id="4301-digit-value")])
     def test_python_literal_field_rejected(self, tmp_path, bad_line):
-        # int() reads "1_0" as 10 and "+1" as 1; a b-file field is '-'? and ASCII digits
+        # int() reads "1_0" as 10 and "+1" as 1, and raises past its 4300-digit limit;
+        # a b-file field is '-'? and ASCII digits
         f = tmp_path / "b.txt"
         f.write_text(f"0 1\n{bad_line}\n")
         with pytest.raises(ValueError, match="line 2: non-integer field"):
@@ -379,6 +385,28 @@ class TestBFileParsing:
         f.write_text("0 1\n0 1\n")
         with pytest.raises(ValueError, match="strictly increasing"):
             parse_bfile(str(f))
+
+    def test_minus_zero_is_index_zero(self, tmp_path):
+        f = tmp_path / "b.txt"
+        f.write_text("-0 5\n1 -0\n")
+        assert parse_bfile(str(f)) == [(0, 5), (1, 0)]
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    @pytest.mark.parametrize("text,expected", [
+        (b"# h\n0 1\n\n2 5\n", [(0, 1), (2, 5)]),
+        (b"0 1\n# c\n\n1 x\n", "line 4: non-integer field in '1 x'"),
+        (b"0 1\n\n-1 2", "line 3: negative index -1"),
+    ], ids=["pairs", "malformed", "negative"])
+    def test_cr_ends_a_line_as_newline_does(self, tmp_path, end, text, expected):
+        f = tmp_path / "b.txt"
+        for data in (text, text.replace(b"\n", end)):
+            f.write_bytes(data)
+            if isinstance(expected, list):
+                assert parse_bfile(str(f)) == expected
+            else:
+                with pytest.raises(ValueError) as exc:
+                    parse_bfile(str(f))
+                assert str(exc.value) == f"{f}: {expected}"
 
 
 class TestCompare:
@@ -411,8 +439,9 @@ class TestCompare:
         assert code == 2
         assert "line 2" in err
 
-    @pytest.mark.parametrize("bad_line,byte,column", [("1 é", "0xc3", 3), ("1\u00a02", "0xc2", 2)],
-                             ids=["e-acute", "no-break-space"])
+    @pytest.mark.parametrize("bad_line,byte,column",
+                             [("1 é", "0xc3", 3), ("1\u00a02", "0xc2", 2), ("# é", "0xc3", 3)],
+                             ids=["e-acute", "no-break-space", "comment"])
     def test_non_ascii_byte_exits_two_with_line_number(self, capsys, tmp_path,
                                                        bad_line, byte, column):
         # A no-break space (U+00A0) is not a field separator: it is a non-ASCII byte.
@@ -431,6 +460,12 @@ class TestCompare:
         code, out, err = run(capsys, "compare", "--family", "pd", "--bfile", str(f))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {f}: line 2: ")
+
+    def test_comments_only_compares_nothing(self, capsys, tmp_path):
+        f = tmp_path / "b.txt"
+        f.write_text("# no terms\n\n# yet\n")
+        code, out, err = run(capsys, "compare", "--family", "pd", "--bfile", str(f))
+        assert (code, out, err) == (0, "summary: 0 compared, 0 mismatched, 0 skipped\n", "")
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "compare", "--family", "pd",
@@ -480,9 +515,11 @@ def test_remark_n_exit_zero_or_two(family, n):
     assert code == (0 if 1 <= n <= BRUTE_LIMIT else 2)
 
 
-bfile_line = st.one_of(
-    st.tuples(st.integers(-2, 70), st.integers(-2, 3000)).map(lambda t: f"{t[0]} {t[1]}"),
-    st.sampled_from(["", "# comment", "1", "x 1", "1 2 3"]))
+bfile_line = st.one_of(  # joined by "\n": a "\r" end makes "\r\n", and "\r\r" a lone "\r" too
+    st.tuples(st.integers(-2, 70), st.integers(-2, 3000), st.sampled_from(["", "\r", "\r\r"]))
+    .map(lambda t: f"{t[0]} {t[1]}{t[2]}"),
+    st.sampled_from(["", "# comment", "1", "x 1", "1 2 3",
+                     "1\v2", "\x1c1 2", "1 2\f", "1\x002", "# \x1f\x00"]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,6 +539,67 @@ def test_compare_exit_two_exactly_when_bfile_unusable(family, route, lines, miss
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(["compare", "--family", family, "--bfile", path, "--route", route])
     assert code in ((2,) if unusable else (0, 1))
+
+
+# Pieces where a whole-file parser and a line walk could part ways.
+RISKY_BYTES = [b"\r", b"\r\n", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x00",
+               b"\xc3", b"#", b"+", b"_", b"-", b"9" * 4301]
+
+
+@st.composite
+def bfile_bytes(draw):
+    """Pairs whose index may start negative, repeat or fall, comments and blanks,
+    ended by any of the three line ends, with risky bytes spliced in anywhere."""
+    data, n = b"", draw(st.integers(-2, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair", "pair", "comment", "blank"]))
+        pad = draw(st.sampled_from([b"", b" ", b"\t"]))
+        if kind == "pair":
+            n += draw(st.integers(-1, 3))
+            value = draw(st.integers(-9, 10**30).map(lambda v: str(v).encode())
+                         | st.sampled_from([b"-0", b"9" * 4301]))
+            data += pad + str(n).encode() + draw(st.sampled_from([b" ", b"\t", b" \t "])) + value
+        elif kind == "comment":
+            data += pad + b"#" + draw(st.sampled_from(RISKY_BYTES + [b"", b" 1 2"]))
+        data += pad + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    for at, piece in draw(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(RISKY_BYTES)),
+                                   max_size=2)):
+        at %= len(data) + 1
+        data = data[:at] + piece + data[at:]
+    return data
+
+
+def _parsed(parse, path):
+    try:
+        return parse(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=bfile_bytes())
+def test_parse_bfile_agrees_with_line_walk(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _parsed(parse_bfile, path) == _parsed(oracles.parse_bfile_walk, path)
+
+
+def test_parse_bfile_memory_stays_near_line_walk(tmp_path):
+    # A regex that matches the whole file at once, (?:<line>)*, keeps a backtracking
+    # state per line: about 3x the walk's peak here. This parser's is about 1.5x.
+    f = tmp_path / "b.txt"
+    f.write_text("# n n^2\n" + "".join(f"{n} {n * n}\n" for n in range(10**5)))
+    peaks = []
+    for parse in (parse_bfile, oracles.parse_bfile_walk):
+        tracemalloc.start()
+        try:
+            assert len(parse(str(f))) == 10**5
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 * peaks[1]
 
 
 def test_benchmark_selftest_passes():
