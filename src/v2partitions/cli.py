@@ -17,6 +17,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 from operator import lt
 
@@ -28,6 +29,7 @@ FAMILY_TOKENS = [f.value for f in FamilyId]
 ROUTE_TOKENS = [r.value for r in Route]
 
 BINARY_IDENTITY_SWEEP = 50      # m <= 50 checked in every verify run
+BFILE_MAX_BYTES = 16 << 20      # a 10 000-line b-file of any family here is under 0.7 MB
 _DECIMAL = re.compile(r"-?[0-9]+")  # a b-file field; int() alone also takes "1_0" and "+1"
 _FIELD_SEP = re.compile(r"[ \t]+")  # str.split() would also split on \v \f and 0x1c-0x1f
 # One match per line: a pair, a comment or blank. Nothing in it crosses a line end.
@@ -39,14 +41,19 @@ def parse_bfile(path: str) -> list[tuple[int, int]]:
 
     Returns the (index, value) pairs in file order.
 
-    Raises ValueError, prefixed with the path, when the file cannot be read or
-    a line is malformed, non-ASCII or non-increasing (with its line number).
+    Raises ValueError, prefixed with the path, when the file cannot be read, is
+    not a regular file or holds more than BFILE_MAX_BYTES, or when a line is
+    malformed, non-ASCII or non-increasing (with its line number).
     """
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO blocks in open(), /dev/zero never ends
+            raise ValueError(f"cannot read {path}: not a regular file")
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(BFILE_MAX_BYTES + 1)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    if len(data) > BFILE_MAX_BYTES:
+        raise ValueError(f"cannot read {path}: larger than {BFILE_MAX_BYTES} bytes")
     text = data.replace(b"\r", b"\n")  # as splitlines() does; \r\n leaves a blank line
     rows = _LINE.findall(text) if text.isascii() else []
     if len(rows) == text.count(b"\n") + 1:  # every line matched

@@ -8,8 +8,10 @@ and `reciprocal` return a `TruncatedSeries`, a list whose `coeffs` is itself.
 
 `product_power` and `binomial_power` run packed: c_0..c_N become one int
 with c_k in the `bits`-wide slot N - k, so a pass is a few big-int operations.
-Both run through `_expand`, which widens the slots as the partial product
-grows (`_top_bits`, `_widen`); `_unpack` reads them back.
+Both run through `_expand`, which writes the factors n > N/2 in one
+`int.from_bytes` (no monomial of degree <= N takes two of them), then widens
+the slots as the partial product grows (`_top_bits`, `_widen`); `_unpack`
+reads them back.
 """
 
 from __future__ import annotations
@@ -145,10 +147,14 @@ def _widen(raw: bytes, bits: int, wide: int) -> tuple[int, int]:
 def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int]:
     """[c_0, ..., c_order] of prod (1+q^n)^e[n]; `apply(c, ns, bits)` multiplies in those of ns.
 
-    From n = order down, in segments [lo, hi), lo = hi // 2, the n < 16 last. `most` bounds every
-    coefficient; a segment's E binomials multiply it by at most their count of monomials of degree
-    <= order. Each factor is >= 0 with constant term 1, so no pass exceeds its segment's end. When
-    `most` outgrows the slots, they are read back and widened only if the largest value needs it.
+    The factors n > order // 2 are written, not multiplied: a monomial of degree <= order takes at
+    most one of them, so their product is 1 + sum e[n] q^n (for binomial, t <= order // n is 1 and
+    C(e[n], 1) = e[n]). That write needs every such e[n] < 256; otherwise they take passes too.
+    The rest run from the highest n not written down, in segments [lo, hi), lo = hi // 2, the
+    n < 16 last. `most` bounds every coefficient; a segment's E binomials multiply it by at most
+    their count of monomials of degree <= order. Each factor is >= 0 with constant term 1, so no
+    pass exceeds its segment's end. When `most` outgrows the slots, they are read back and
+    widened only if the largest value needs it.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -158,6 +164,9 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
         n = next(n for n in range(1, order + 1) if e[n] < 0)
         raise ValueError(f"exponent {e[n]} at n = {n} is negative")
     bits, most, hi, c = 8, 1, order + 1, 1 << order * 8  # the series 1: c_0 = 1 in the top slot
+    top = e[order // 2 + 1:order + 1]  # no monomial of degree <= order takes two of these factors
+    if order and (peak := max(top)) < 256:  # so their product is 1 + sum e[n] q^n: 8-bit slots
+        most, hi, c = max(peak, 1), order // 2 + 1, c | int.from_bytes(bytes(top), "big")
     while hi > 1:
         lo = max(hi // 2, 16) if hi > 16 else 1
         total, j = sum(e[lo:hi]), order // lo  # such a monomial has at most j of the E factors

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2partitions import families, series, verify
+from v2partitions import cli, families, series, verify
 from v2partitions.cli import FAMILY_TOKENS, ROUTE_TOKENS, build_parser, main, parse_bfile
 from v2partitions.families import BRUTE_LIMIT, MAX_ORDER, Route
 from v2partitions.valuation import FamilyId
@@ -471,6 +471,34 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--family", "pd",
                            "--bfile", str(tmp_path / "absent.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["fifo", "dev-zero", "directory"])
+    def test_not_a_regular_file_exits_two(self, tmp_path, kind):
+        # A FIFO with no writer blocks inside open() and /dev/zero never ends a read,
+        # so the path is refused before it is opened. The subprocess bounds a hang.
+        path = {"fifo": tmp_path / "b.fifo", "dev-zero": Path("/dev/zero"), "directory": tmp_path}[kind]
+        if kind == "fifo":
+            os.mkfifo(path)
+        elif not path.exists():
+            pytest.skip(f"no {path} here")
+        proc = subprocess.run(
+            [sys.executable, "-m", "v2partitions", "compare", "--family", "pd", "--bfile", str(path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cannot read {path}: not a regular file\n"
+
+    def test_file_past_the_byte_cap_exits_two(self, capsys, monkeypatch, tmp_path):
+        # The real cap sits far above a 10 000-line b-file of the widest family.
+        values = families.gf_series(FamilyId.OVERPARTITION_ODD, MAX_ORDER)
+        widest = sum(len(f"{n} {v}\n") for n, v in enumerate(values))
+        assert 10 * widest < cli.BFILE_MAX_BYTES
+        monkeypatch.setattr(cli, "BFILE_MAX_BYTES", 8)
+        f = tmp_path / "b.txt"
+        f.write_text("0 1\n1 0\n")  # 8 bytes: at the cap
+        assert run(capsys, "compare", "--family", "pe", "--bfile", str(f))[0] == 0
+        f.write_text("0 1\n1 0\n\n")
+        code, out, err = run(capsys, "compare", "--family", "pe", "--bfile", str(f))
+        assert (code, out, err) == (2, "", f"error: cannot read {f}: larger than 8 bytes\n")
 
     def test_indices_beyond_brute_policy_skipped(self, capsys, tmp_path):
         f = tmp_path / "b.txt"

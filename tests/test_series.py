@@ -31,6 +31,29 @@ def coefficients(n):
     return st.lists(coefficient, min_size=n, max_size=n)
 
 
+@st.composite
+def exponent_lists(draw):
+    """(e, order) with zeros and small exponents; half of them carry one top-half entry of 200 to 300.
+
+    No monomial of degree <= order takes two factors n > order // 2, so `_expand`
+    writes their product directly into 8-bit slots, unless one of their exponents
+    is 256 or more. Near 256, a written entry fills its slot.
+    """
+    order = draw(st.integers(0, 80))
+    e = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=order + 1, max_size=order + 1))
+    if order and draw(st.booleans()):
+        e[draw(st.integers(order // 2 + 1, order))] = draw(st.integers(200, 300))
+    return e, order
+
+
+def boundary_case(order, big=False):
+    """Exponents n % 4 to `order`, the top one 256 when `big`: a segment boundary's example."""
+    e = [n % 4 for n in range(order + 1)]
+    if big:
+        e[order] = 256
+    return e, order
+
+
 def expand_checks(e, order):
     """The driver both packed expansions share, alone: it checks the list before any pass."""
     return _expand(e, order, None)
@@ -220,6 +243,22 @@ class TestProductPower:
         e = [0] + [rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(N)]
         factors = [{0: 1, n: 1} for n in range(1, N + 1) for _ in range(e[n])]
         assert product_power(e, N) == product_expand(factors, N)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponent_lists())
+    @example(boundary_case(15))
+    @example(boundary_case(16))
+    @example(boundary_case(17))
+    @example(boundary_case(32))
+    @example(boundary_case(33))
+    @example(boundary_case(33, big=True))
+    @example(([0] * 10 + [1] + [0] * 19 + [255] + [0] * 9 + [1], 40))  # c_40 = 255 + 1 must widen its slot
+    def test_both_expansions_match_factor_expansion(self, case):
+        e, order = case
+        factors = [{0: 1, n: 1} for n in range(1, order + 1) for _ in range(e[n])]
+        expected = product_expand(factors, order)
+        assert product_power(e, order) == expected
+        assert binomial_power(e, order) == expected
 
 
 class TestPackedKernel:

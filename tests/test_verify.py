@@ -48,6 +48,18 @@ class TestVerifyFamily:
         assert report["status"] == "FAIL"
         assert report["first_mismatch"]["n"] == 7
 
+    def test_broken_top_half_exponent_fails_at_its_index(self, monkeypatch):
+        # n = 300 > 500 // 2: that factor is written into the top half, not passed.
+        # product and binomial share that write, so they agree; gf does not.
+        original = valuation.exponent
+        monkeypatch.setattr(valuation, "exponent",
+                            lambda family, n: original(family, n) + (n == 300))
+        report = verify_family(FamilyId.PD, 500)
+        assert report["status"] == "FAIL"
+        values = report["first_mismatch"]["values"]
+        assert report["first_mismatch"]["n"] == 300
+        assert values["product"] == values["binomial"] != values["gf"]
+
     @pytest.mark.parametrize("family,n,value", [
         (FamilyId.OVERPARTITION_ODD, 1, 2), (FamilyId.PED, 1, 1), (FamilyId.PD, 1, 1),
         (FamilyId.POD, 1, 1), (FamilyId.PE, 2, 1),
@@ -197,6 +209,14 @@ class TestBinaryIdentity:
         report = verify_binary_identity(1, 16)
         assert report["status"] == "FAIL"
         assert report["first_mismatch"]["n"] == 4
+
+    def test_dropped_top_half_factor_fails_at_its_exponent(self, monkeypatch):
+        # 256 > 500 // 2: (1+q^256) is written into the top half, not passed.
+        monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
+            e[:256] + [0] + e[257:], order))
+        report = verify_binary_identity(1, 500)
+        assert report["status"] == "FAIL"
+        assert report["first_mismatch"]["n"] == 256
 
     @pytest.mark.parametrize("m,order", [(2, 0), (2, 1), (51, 50), (10**6, 3), (10**18, 3)])
     def test_multiplier_past_order(self, request, m, order):
