@@ -8,10 +8,10 @@ and `reciprocal` return a `TruncatedSeries`, a list whose `coeffs` is itself.
 
 `product_power` and `binomial_power` run packed: c_0..c_N become one int
 with c_k in the `bits`-wide slot N - k, so a pass is a few big-int operations.
-Both run through `_expand`, which writes the factors n > N/2 in one
-`int.from_bytes` (no monomial of degree <= N takes two of them), then widens
-the slots as the partial product grows (`_top_bits`, `_widen`); `_unpack`
-reads them back.
+Both run through `_expand`, which writes the factors n > N/3 in closed form
+(no monomial of degree <= N takes three of them), then widens the slots as
+the partial product grows (`_top_bits`, `_widen`); `_unpack` reads them back
+a machine word or a `struct` field per slot.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import compress, repeat
 from math import comb
 from operator import mul as times
+from struct import unpack
 from sys import byteorder
 
 _WORD_TYPECODE = {array(t).itemsize: t for t in "BHILQ"}  # slot bytes -> array typecode
@@ -93,16 +94,16 @@ def _shift_add(dst: int, src: int, s: int, w: int, bits: int) -> int:
 def _unpack(x: int, order: int, bits: int) -> list[int]:
     """[c_0, ..., c_order] of a packed series: slot order - k holds c_k.
 
-    Bits above the top slot, which only a carry out of a too-narrow slot
-    puts there, are dropped. Slots of 1, 2, 4 or 8 bytes are read as machine
-    words by `array`, in C; other widths take one `int.from_bytes` per slot.
+    Bits above the top slot, which only a carry out of a too-narrow slot puts there, are dropped.
+    Slots of up to 8 bytes are read as machine words by `array`, in C, after `_spread` moves those
+    of 3, 5, 6 or 7 bytes into 4- or 8-byte ones; `struct` cuts wider ones apart for `int.from_bytes`.
     """
     size, width = bits // 8, (order + 1) * bits
     raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
-    typecode = _WORD_TYPECODE.get(size)
-    if typecode is None:  # 3, 5, 6, 7 or more than 8 bytes: no machine word fits
-        return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
-    words = array(typecode, raw)
+    if size > 8:  # no machine word holds a slot
+        return list(map(int.from_bytes, unpack(f"{size}s" * (order + 1), raw)))
+    word = 1 << (size - 1).bit_length()  # 1, 2, 4 or 8 bytes: the smallest word a slot fits
+    words = array(_WORD_TYPECODE[word], raw if word == size else _spread(raw, size, word))
     if byteorder == "little":
         words.byteswap()  # the slots are big-endian
     return words.tolist()
@@ -135,38 +136,55 @@ def _top_bits(raw: bytes, bits: int) -> int:
     return 8 * (size - 1 - j) + max(filter(lengths.__contains__, range(9)))  # largest one present
 
 
-def _widen(raw: bytes, bits: int, wide: int) -> tuple[int, int]:
-    """`raw`'s slots moved into `wide`-bit ones by byte columns, and the width `_expand` uses."""
-    size, wider = bits // 8, wide // 8
+def _spread(raw: bytes, size: int, wider: int) -> bytearray:
+    """`raw`'s big-endian `size`-byte slots moved into `wider`-byte ones, one byte column at a time."""
     out = bytearray(len(raw) // size * wider)
     for j in range(size):
         out[wider - size + j::wider] = raw[j::size]
-    return int.from_bytes(out, "big"), wide
+    return out
+
+
+def _widen(raw: bytes, bits: int, wide: int) -> tuple[int, int]:
+    """`raw`'s slots moved into `wide`-bit ones, and the width `_expand` uses."""
+    return int.from_bytes(_spread(raw, bits // 8, wide // 8), "big"), wide
 
 
 def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int]:
     """[c_0, ..., c_order] of prod (1+q^n)^e[n]; `apply(c, ns, bits)` multiplies in those of ns.
 
-    The factors n > order // 2 are written, not multiplied: a monomial of degree <= order takes at
-    most one of them, so their product is 1 + sum e[n] q^n (for binomial, t <= order // n is 1 and
-    C(e[n], 1) = e[n]). That write needs every such e[n] < 256; otherwise they take passes too.
-    The rest run from the highest n not written down, in segments [lo, hi), lo = hi // 2, the
-    n < 16 last. `most` bounds every coefficient; a segment's E binomials multiply it by at most
-    their count of monomials of degree <= order. Each factor is >= 0 with constant term 1, so no
-    pass exceeds its segment's end. When `most` outgrows the slots, they are read back and
-    widened only if the largest value needs it.
+    The factors n > order // 3 are written, not multiplied: a monomial of degree <= order takes at
+    most two of them, so their product is 1 + T + (T^2 - T(q^2))/2 with T = sum e[n] q^n over them
+    (for binomial too: C(e[n], 2) = (e[n]^2 - e[n])/2). T is packed into slots that hold max(e) *
+    sum(e) over it, which bounds every slot of T^2, so no slot past the order carries into a kept
+    one, and each slot of T^2 - T(q^2) is even, so one shift halves them all. When no two such
+    factors meet in degree <= order, 1 + T is written in 8-bit slots and nothing is squared. The
+    write needs every e[n] < 256, which `bytes` checks. The rest run from the highest n not written
+    down, in segments [lo, hi), lo = hi // 2, the n < 16 last. `most` bounds every coefficient; a
+    segment's E binomials multiply it by at most their count of monomials of degree <= order. Each
+    factor is >= 0 with constant term 1, so no pass exceeds its segment's end. When `most` outgrows
+    the slots, they are read back and widened only if the largest value needs it.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     if len(e) <= order:
         raise ValueError("e must give an exponent for every n <= order")
-    if min(e[1:order + 1], default=0) < 0:  # a division: the passes would skip the factor
-        n = next(n for n in range(1, order + 1) if e[n] < 0)
-        raise ValueError(f"exponent {e[n]} at n = {n} is negative")
     bits, most, hi, c = 8, 1, order + 1, 1 << order * 8  # the series 1: c_0 = 1 in the top slot
-    top = e[order // 2 + 1:order + 1]  # no monomial of degree <= order takes two of these factors
-    if order and (peak := max(top)) < 256:  # so their product is 1 + sum e[n] q^n: 8-bit slots
-        most, hi, c = max(peak, 1), order // 2 + 1, c | int.from_bytes(bytes(top), "big")
+    try:
+        e = bytes(e[:order + 1])  # read by C from here on
+    except ValueError:  # an exponent < 0 or > 255 (e[0], unused, too): no factor is written
+        if n := next((n for n in range(1, order + 1) if e[n] < 0), 0):  # the passes would skip it
+            raise ValueError(f"exponent {e[n]} at n = {n} is negative") from None
+    else:
+        hi, top = order // 3 + 1, e[order // 3 + 1:]  # T: no monomial takes three of these factors
+        rest = top.lstrip(b"\0")  # T from its smallest factor up: n = order + 1 - len(rest)
+        pair = rest if rest[:1] > b"\1" else rest[1:].lstrip(b"\0")  # T from the factor n pairs with
+        if len(rest) + len(pair) < order + 2:  # those two meet past the order, so no two do
+            most, c = max(max(top, default=0), 1), c | int.from_bytes(top, "big")
+        else:
+            most = max(top) * sum(top)
+            t, bits = _widen(top, 8, -(-most.bit_length() // 8) * 8)
+            u = int.from_bytes(_spread(top, 1, bits // 4), "big")  # T(q^2) in the slots of T^2
+            c = (1 << order * bits) + t + ((t * t - u) >> order * bits + 1)
     while hi > 1:
         lo = max(hi // 2, 16) if hi > 16 else 1
         total, j = sum(e[lo:hi]), order // lo  # such a monomial has at most j of the E factors

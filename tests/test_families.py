@@ -566,8 +566,9 @@ class TestSlotWidths:
     # factors run from n = N down, so once part n is in, the series is the
     # product over the parts >= n. Each width must hold that product's largest
     # coefficient, computed here at one full width with no widening. The
-    # factors n > N // 2 take no pass when every one of their exponents is
-    # below 256: their product is written into 8-bit slots directly.
+    # factors n > N // 3 take no pass when every exponent is below 256: their
+    # product is written directly, into 8-bit slots when no two of them meet in
+    # degree <= N, else into slots that hold max(e) * sum(e) over them.
     @pytest.mark.parametrize("expand", [series.product_power, series.binomial_power], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_every_width_holds_its_partial_product(self, monkeypatch, family, expand):
@@ -576,14 +577,17 @@ class TestSlotWidths:
             passes = _record_widths(monkeypatch)
             expand(e, N)
             monkeypatch.undo()
-            top = N // 2 if max(e[N // 2 + 1:], default=0) < 256 else N  # parts above it are written
+            top = N // 3 if max(e[1:], default=0) < 256 else N  # parts above it are written
             assert [n for n, _, _ in passes] == sorted((n for n in range(1, top + 1) if e[n]), reverse=True)
             full = 8 * (max(gf_series(family, N)).bit_length() // 8 + 1)
             c = 1 << N * full
             for n in range(N, top, -1):
                 for _ in range(e[n]):
                     c = series._shift_add(c, c, n, 1, full)
-            assert max(series._unpack(c, N, full)).bit_length() <= 8, N  # the written top half
+            written = [n for n in range(top + 1, N + 1) for _ in range(e[n])]
+            paired = len(written) > 1 and written[0] + written[1] <= N
+            width = 8 * -(-(max(e[top + 1:]) * len(written)).bit_length() // 8) if paired else 8
+            assert max(series._unpack(c, N, full)).bit_length() <= width, N  # the written product
             for i, (n, bits, _) in enumerate(passes):
                 for _ in range(e[n]):
                     c = series._shift_add(c, c, n, 1, full)

@@ -33,16 +33,16 @@ def coefficients(n):
 
 @st.composite
 def exponent_lists(draw):
-    """(e, order) with zeros and small exponents; half of them carry one top-half entry of 200 to 300.
+    """(e, order) with zeros and small exponents; half of them carry one entry of 200 to 300 above order // 3.
 
-    No monomial of degree <= order takes two factors n > order // 2, so `_expand`
-    writes their product directly into 8-bit slots, unless one of their exponents
-    is 256 or more. Near 256, a written entry fills its slot.
+    No monomial of degree <= order takes three factors n > order // 3, so `_expand`
+    writes their product directly, unless an exponent is 256 or more. Near 256, a
+    written entry fills its 8-bit slot, and a pair of them widens the written slots.
     """
-    order = draw(st.integers(0, 80))
+    order = draw(st.integers(0, 120))
     e = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=order + 1, max_size=order + 1))
     if order and draw(st.booleans()):
-        e[draw(st.integers(order // 2 + 1, order))] = draw(st.integers(200, 300))
+        e[draw(st.integers(order // 3 + 1, order))] = draw(st.integers(200, 300))
     return e, order
 
 
@@ -51,6 +51,14 @@ def boundary_case(order, big=False):
     e = [n % 4 for n in range(order + 1)]
     if big:
         e[order] = 256
+    return e, order
+
+
+def sparse_case(order, entries):
+    """Exponents 0 to `order` but for `entries`, {n: e[n]}."""
+    e = [0] * (order + 1)
+    for n, exponent in entries.items():
+        e[n] = exponent
     return e, order
 
 
@@ -253,6 +261,15 @@ class TestProductPower:
     @example(boundary_case(33))
     @example(boundary_case(33, big=True))
     @example(([0] * 10 + [1] + [0] * 19 + [255] + [0] * 9 + [1], 40))  # c_40 = 255 + 1 must widen its slot
+    @example(boundary_case(99))  # order 3k, 3k + 1 and 3k + 2: the written factors start at k + 1
+    @example(boundary_case(100))
+    @example(boundary_case(101))
+    @example(sparse_case(40, {20: 2}))  # C(2, 2) q^40 from the one factor (1 + q^20)^2
+    @example(sparse_case(40, {15: 1}))  # a lone factor with 2n <= order pairs with nothing
+    @example(sparse_case(40, {17: 1, 23: 1}))  # the two smallest meet at exactly the order
+    @example(sparse_case(40, {17: 1, 24: 1}))  # and one past it
+    @example(sparse_case(60, {21: 1, 39: 255}))  # a written pair: c_60 = 255
+    @example(sparse_case(60, {21: 1, 39: 256}))  # 256: no factor is written
     def test_both_expansions_match_factor_expansion(self, case):
         e, order = case
         factors = [{0: 1, n: 1} for n in range(1, order + 1) for _ in range(e[n])]
@@ -271,7 +288,8 @@ class TestPackedKernel:
         assert _unpack(1 << 128 | 2 << 64 | 3, 2, 64) == [1, 2, 3]
         assert _unpack(0xFFFFFFFF_FFFFFFFE << 64, 1, 64) == [2**64 - 2, 0]
 
-    # 8, 16, 32 and 64 bits are read as machine words, the other widths slot by slot
+    # Up to 64 bits, slots are read as machine words, 24, 40, 48 and 56 after moving them into
+    # wider ones; wider slots are cut apart by struct
     @pytest.mark.parametrize("bits", range(8, 137, 8))
     @pytest.mark.parametrize("order", [0, 1, 2, 61, 500])
     def test_matches_reference_decoder(self, bits, order):

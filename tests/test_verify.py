@@ -60,6 +60,18 @@ class TestVerifyFamily:
         assert report["first_mismatch"]["n"] == 300
         assert values["product"] == values["binomial"] != values["gf"]
 
+    def test_broken_paired_exponent_fails_at_its_index(self, monkeypatch):
+        # n = 200 is in (500 // 3, 500 // 2]: its factor is written, and it pairs with
+        # others in degree <= 500. The shared write keeps product == binomial; gf differs.
+        original = valuation.exponent
+        monkeypatch.setattr(valuation, "exponent",
+                            lambda family, n: original(family, n) + (n == 200))
+        report = verify_family(FamilyId.PD, 500)
+        assert report["status"] == "FAIL"
+        values = report["first_mismatch"]["values"]
+        assert report["first_mismatch"]["n"] == 200
+        assert values["product"] == values["binomial"] != values["gf"]
+
     @pytest.mark.parametrize("family,n,value", [
         (FamilyId.OVERPARTITION_ODD, 1, 2), (FamilyId.PED, 1, 1), (FamilyId.PD, 1, 1),
         (FamilyId.POD, 1, 1), (FamilyId.PE, 2, 1),
@@ -111,6 +123,8 @@ class TestVerifyFamily:
         # Each table's widenings but the last are honest. From the last on, the
         # slots keep the width they had; a later segment would only try again.
         # At N = 2000 that width is short of gf's largest value for every family.
+        # The count restarts at each table call, not at a widening from 8 bits:
+        # the write of the factors n > N // 3 widens from 8 bits too.
         order, widen = 2000, series._widen
         before = []  # the width each honest widening starts from
         monkeypatch.setattr(series, "_widen", lambda raw, bits, wide: before.append(bits) or widen(raw, bits, wide))
@@ -118,12 +132,11 @@ class TestVerifyFamily:
         calls = []
 
         def short(raw, bits, wide):
-            if bits == 8:  # every table starts on 8-bit slots
-                calls.clear()
             calls.append(wide)
             return widen(raw, bits, wide if len(calls) < len(before) else bits)
 
         monkeypatch.setattr(series, "_widen", short)
+        monkeypatch.setattr(verify, "table", lambda *args: calls.clear() or table(*args))
         gf = table(family, order, Route.GF)
         n = next(n for n, c in enumerate(gf) if c.bit_length() > before[-1])
         report = verify_family(family, order)
