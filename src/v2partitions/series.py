@@ -172,7 +172,7 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
     try:
         e = bytes(e[:order + 1])  # read by C from here on
     except ValueError:  # an exponent < 0 or > 255 (e[0], unused, too): no factor is written
-        if n := next((n for n in range(1, order + 1) if e[n] < 0), 0):  # the passes would skip it
+        if n := next((n for n in range(1, order + 1) if e[n] < 0), 0):  # a division: no pass does it
             raise ValueError(f"exponent {e[n]} at n = {n} is negative") from None
     else:
         hi, top = order // 3 + 1, e[order // 3 + 1:]  # T: no monomial takes three of these factors

@@ -288,8 +288,8 @@ class TestPackedKernel:
         assert _unpack(1 << 128 | 2 << 64 | 3, 2, 64) == [1, 2, 3]
         assert _unpack(0xFFFFFFFF_FFFFFFFE << 64, 1, 64) == [2**64 - 2, 0]
 
-    # Up to 64 bits, slots are read as machine words, 24, 40, 48 and 56 after moving them into
-    # wider ones; wider slots are cut apart by struct
+    # Slots of up to 64 bits are read as machine words, those of 24, 40, 48 and 56 bits
+    # after moving them into wider ones; wider slots are cut apart by struct
     @pytest.mark.parametrize("bits", range(8, 137, 8))
     @pytest.mark.parametrize("order", [0, 1, 2, 61, 500])
     def test_matches_reference_decoder(self, bits, order):

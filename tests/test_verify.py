@@ -106,8 +106,9 @@ class TestVerifyFamily:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_slot_overflow_in_slot_by_slot_widths_fails_against_gf(self, monkeypatch, family):
-        # 8- and 16-bit slots are read as machine words, 24-bit slots one at a
-        # time. gf first outgrows 24 bits at n = 95 to 162, depending on the family.
+        # 8- and 16-bit slots are read as machine words directly, 24-bit slots
+        # after `_spread` moves them into 32-bit ones. gf first outgrows 24 bits
+        # at n = 95 to 162, depending on the family.
         order, narrow = 170, 24
         gf = table(family, order, Route.GF)
         n = next(n for n, c in enumerate(gf) if c.bit_length() > narrow)
