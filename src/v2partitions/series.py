@@ -101,7 +101,7 @@ def _unpack(x: int, order: int, bits: int) -> list[int]:
     size, width = bits // 8, (order + 1) * bits
     raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
     if size > 8:  # no machine word holds a slot
-        return list(map(int.from_bytes, unpack(f"{size}s" * (order + 1), raw)))
+        return list(map(int.from_bytes, unpack(f"{size}s" * (order + 1), raw), repeat("big")))
     word = 1 << (size - 1).bit_length()  # 1, 2, 4 or 8 bytes: the smallest word a slot fits
     words = array(_WORD_TYPECODE[word], raw if word == size else _spread(raw, size, word))
     if byteorder == "little":

@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import v2partitions
 from v2partitions.series import (TruncatedSeries, _divide, _expand, _shift_add, _top_bits, _unpack, _widen,
                                  binomial_power, mul, pochhammer, product_power, reciprocal)
 
@@ -299,6 +302,19 @@ class TestPackedKernel:
             assert _unpack(x, order, bits) == unpack_slots(x, order, bits)
         full = (1 << (order + 1) * bits) - 1  # every slot at its maximum
         assert _unpack(full, order, bits) == [(1 << bits) - 1] * (order + 1)
+
+    # The package runs on Python 3.10, where int.from_bytes and int.to_bytes have no default
+    # byte order: each use must pass one, as a second argument or, under map, a second iterable.
+    def test_byte_conversions_name_their_byte_order(self):
+        for path in Path(v2partitions.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            named = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and (len(node.args) >= 2 or any(k.arg == "byteorder" for k in node.keywords))}
+            named |= {id(node.args[0]) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "map" and len(node.args) >= 3}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                    assert id(node) in named, f"{path.name}:{node.lineno}"
 
     # Slots of 1 to 17 bytes: random ones, and a top slot with only its low byte set,
     # as c_0 = 1 is while every other slot is zero.
