@@ -30,7 +30,6 @@ ROUTE_TOKENS = [r.value for r in Route]
 
 BINARY_IDENTITY_SWEEP = 50      # m <= 50 checked in every verify run
 BFILE_MAX_BYTES = 16 << 20      # a 10 000-line b-file of any family here is under 0.7 MB
-_DECIMAL = re.compile(r"-?[0-9]+")  # a b-file field; int() alone also takes "1_0" and "+1"
 _FIELD_SEP = re.compile(r"[ \t]+")  # str.split() would also split on \v \f and 0x1c-0x1f
 # One match per line: a pair, a comment or blank. Nothing in it crosses a line end.
 _LINE = re.compile(rb"^[ \t]*(?:(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*|#.*|)$", re.M)
@@ -62,8 +61,7 @@ def parse_bfile(path: str) -> list[tuple[int, int]]:
             indices = [n for n, _ in entries]
             if all(map(lt, [-1, *indices], indices)):  # non-negative, strictly increasing
                 return entries
-    # A file the passes above do not accept is walked line by line to word its error.
-    entries = []
+    entries = []  # a file the passes above refuse is walked line by line to word its error
     for lineno, raw in enumerate(data.splitlines(), start=1):
         where = f"{path}: line {lineno}"
         try:  # ASCII only, so no Unicode space (e.g. U+00A0) separates fields
@@ -71,17 +69,16 @@ def parse_bfile(path: str) -> list[tuple[int, int]]:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{where}: non-ASCII byte 0x{raw[exc.start]:02x} "
                              f"at column {exc.start + 1}") from None
-        if not line or line.startswith("#"):
+        if (match := _LINE.fullmatch(raw)) and not match[1]:  # a comment or blank line
             continue
-        fields = _FIELD_SEP.split(line)
-        if len(fields) != 2:
-            raise ValueError(f"{where}: expected '<n> <value>', got {line!r}")
         try:  # int() also raises on a field past its digit limit
-            if not all(_DECIMAL.fullmatch(field) for field in fields):
+            if not match:
                 raise ValueError
-            index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"{where}: non-integer field in {line!r}") from None
+            index, value = int(match[1]), int(match[2])
+        except ValueError:  # the field count picks the wording: two fields hold a non-integer one
+            if len(_FIELD_SEP.split(line)) == 2:
+                raise ValueError(f"{where}: non-integer field in {line!r}") from None
+            raise ValueError(f"{where}: expected '<n> <value>', got {line!r}") from None
         if index < 0:
             raise ValueError(f"{where}: negative index {index}")
         if entries and index <= entries[-1][0]:

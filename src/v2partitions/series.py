@@ -152,46 +152,44 @@ def _widen(raw: bytes, bits: int, wide: int) -> tuple[int, int]:
 def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int]:
     """[c_0, ..., c_order] of prod (1+q^n)^e[n]; `apply(c, ns, bits)` multiplies in those of ns.
 
-    The factors n > order // 3 are written, not multiplied: a monomial of degree <= order takes at
-    most two of them, so their product is 1 + T + (T^2 - T(q^2))/2 with T = sum e[n] q^n over them
-    (for binomial too: C(e[n], 2) = (e[n]^2 - e[n])/2). T is packed into slots that hold max(e) *
-    sum(e) over it, which bounds every slot of T^2, so no slot past the order carries into a kept
-    one, and each slot of T^2 - T(q^2) is even, so one shift halves them all. When no two such
-    factors meet in degree <= order, 1 + T is written in 8-bit slots and nothing is squared. The
-    write needs every e[n] < 256, which `bytes` checks. The rest run from the highest n not written
-    down, in segments [lo, hi), lo = hi // 2, the n < 16 last. `most` bounds every coefficient; a
-    segment's E binomials multiply it by at most their count of monomials of degree <= order. Each
-    factor is >= 0 with constant term 1, so no pass exceeds its segment's end. When `most` outgrows
-    the slots, they are read back and widened only if the largest value needs it.
+    Each e[n], n >= 1, is 0..255 (e[0] is neither read nor refused): a negative one is a division,
+    and the write packs each in a byte. The factors n > order // 3 are written: a monomial of
+    degree <= order takes at most two of them, so their product is 1 + T + (T^2 - T(q^2))/2 with
+    T = sum e[n] q^n over them (binomial too: C(e, 2) = (e^2 - e)/2). T is packed into slots that
+    hold max(e) * sum(e) over it, which bounds every slot of T^2, so no slot past the order carries
+    into a kept one, and each slot of T^2 - T(q^2) is even, so one shift halves them all. If no two
+    meet in degree <= order, 1 + T is written in 8-bit slots and nothing is squared. The rest run
+    from n = order // 3 down, in segments [lo, hi), lo = hi // 2, the n < 16 last. `most` bounds
+    every coefficient; a segment's E binomials multiply it by at most their count of monomials of
+    degree <= order. Each factor is >= 0 with constant term 1: no pass exceeds its segment's end.
+    When `most` outgrows the slots, they are read back, then widened if the largest value needs it.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     if len(e) <= order:
         raise ValueError("e must give an exponent for every n <= order")
-    bits, most, hi, c = 8, 1, order + 1, 1 << order * 8  # the series 1: c_0 = 1 in the top slot
     try:
-        e = bytes(e[:order + 1])  # read by C from here on
-    except ValueError:  # an exponent < 0 or > 255 (e[0], unused, too): no factor is written
-        if n := next((n for n in range(1, order + 1) if e[n] < 0), 0):  # a division: no pass does it
-            raise ValueError(f"exponent {e[n]} at n = {n} is negative") from None
+        e = b"\0" + bytes(e[1:order + 1])  # read by C from here on; e[0] is unused
+    except ValueError:  # bytes() takes only 0..255
+        n, x = next((n, x) for n, x in enumerate(e[1:order + 1], 1) if not 0 <= x < 256)
+        raise ValueError(f"exponent {x} at n = {n} is {'negative' if x < 0 else 'over 255'}") from None
+    hi, top = order // 3 + 1, e[order // 3 + 1:]  # T: no monomial takes three of these factors
+    rest = top.lstrip(b"\0")  # T from its smallest factor up: n = order + 1 - len(rest)
+    pair = rest if rest[:1] > b"\1" else rest[1:].lstrip(b"\0")  # T from the factor n pairs with
+    if len(rest) + len(pair) < order + 2:  # those two meet past the order, so no two do
+        bits, most, c = 8, max(max(top, default=0), 1), 1 << order * 8 | int.from_bytes(top, "big")
     else:
-        hi, top = order // 3 + 1, e[order // 3 + 1:]  # T: no monomial takes three of these factors
-        rest = top.lstrip(b"\0")  # T from its smallest factor up: n = order + 1 - len(rest)
-        pair = rest if rest[:1] > b"\1" else rest[1:].lstrip(b"\0")  # T from the factor n pairs with
-        if len(rest) + len(pair) < order + 2:  # those two meet past the order, so no two do
-            most, c = max(max(top, default=0), 1), c | int.from_bytes(top, "big")
-        else:
-            most = max(top) * sum(top)
-            t, bits = _widen(top, 8, -(-most.bit_length() // 8) * 8)
-            u = int.from_bytes(_spread(top, 1, bits // 4), "big")  # T(q^2) in the slots of T^2
-            c = (1 << order * bits) + t + ((t * t - u) >> order * bits + 1)
+        most = max(top) * sum(top)
+        t, bits = _widen(top, 8, -(-most.bit_length() // 8) * 8)
+        u = int.from_bytes(_spread(top, 1, bits // 4), "big")  # T(q^2) in the slots of T^2
+        c = (1 << order * bits) + t + ((t * t - u) >> order * bits + 1)
     while hi > 1:
         lo = max(hi // 2, 16) if hi > 16 else 1
         total, j = sum(e[lo:hi]), order // lo  # such a monomial has at most j of the E factors
         growth = 1 << total if j >= total else sum(map(comb, repeat(total), range(j + 1)))
         if (most * growth).bit_length() > bits:  # read back; the mask drops a top slot's carry
             raw = (c & (1 << (order + 1) * bits) - 1).to_bytes((order + 1) * bits // 8, "big")
-            most = (1 << _top_bits(raw, bits)) - 1 if most > 1 else 1  # 1: no slot holds more
+            most = (1 << _top_bits(raw, bits)) - 1  # >= 1: c_0 = 1 sits in the top slot
             if (wide := -(-(most * growth).bit_length() // 8) * 8) > bits:
                 c, bits = _widen(raw, bits, wide)
         most *= growth
@@ -201,9 +199,9 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
 
 
 def product_power(e: Sequence[int], order: int) -> TruncatedSeries:
-    """Expand prod_{n=1..order} (1+q^n)^e[n] mod q^(order+1); e[0] is unused.
+    """Expand prod_{n=1..order} (1+q^n)^e[n] mod q^(order+1); e[0] is unused, each other e[n] 0..255.
 
-    One packed shift-add pass per (1+q^n) factor, e[n] times; zero exponents cost nothing.
+    `_expand` writes the factors n > order // 3; each other one takes e[n] packed shift-add passes.
     """
     def apply(c: int, ns: Iterable[int], bits: int) -> int:
         for n in ns:

@@ -566,9 +566,9 @@ class TestSlotWidths:
     # factors run from n = N down, so once part n is in, the series is the
     # product over the parts >= n. Each width must hold that product's largest
     # coefficient, computed here at one full width with no widening. The
-    # factors n > N // 3 take no pass when every exponent is below 256: their
-    # product is written directly, into 8-bit slots when no two of them meet in
-    # degree <= N, else into slots that hold max(e) * sum(e) over them.
+    # factors n > N // 3 take no pass: their product is written directly, into
+    # 8-bit slots when no two of them meet in degree <= N, else into slots that
+    # hold max(e) * sum(e) over them.
     @pytest.mark.parametrize("expand", [series.product_power, series.binomial_power], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_every_width_holds_its_partial_product(self, monkeypatch, family, expand):
@@ -577,7 +577,7 @@ class TestSlotWidths:
             passes = _record_widths(monkeypatch)
             expand(e, N)
             monkeypatch.undo()
-            top = N // 3 if max(e[1:], default=0) < 256 else N  # parts above it are written
+            top = N // 3  # parts above it are written
             assert [n for n, _, _ in passes] == sorted((n for n in range(1, top + 1) if e[n]), reverse=True)
             full = 8 * (max(gf_series(family, N)).bit_length() // 8 + 1)
             c = 1 << N * full
