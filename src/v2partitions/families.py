@@ -144,16 +144,23 @@ def enumerate_capped(n: int, caps: list[int]) -> list[tuple[str, str, int]]:
 def _count_partitions(caps: list[int], size_factor: int = 1) -> list[int]:
     # f(0..len(caps)-1): partitions with part k used at most caps[k] times;
     # each part size actually used contributes a factor size_factor (2 for
-    # overlining). Tabulated bottom-up over the largest part k:
-    # f_k(r) = f_{k-1}(r) + size_factor * sum_{t=1..caps[k]} f_{k-1}(r - t*k).
+    # overlining). Tabulated bottom-up over the largest part k, one pass over r each:
+    # f_k(r) = f_{k-1}(r) + size_factor * W_k(r), W_k(r) = sum_{t=1..c} f_{k-1}(r - t*k)
+    # with c = min(caps[k], order // k). W_k is a running window sum,
+    # W_k(r) = f_{k-1}(r-k) + W_k(r-k) - f_{k-1}(r-(c+1)k); for c = 1 it is f_{k-1}(r-k).
     order = len(caps) - 1
     counts = [1] + [0] * order  # partitions into parts < k
     for k in range(1, order + 1):
-        fewer = counts[:]
-        for t in range(1, min(caps[k], order // k) + 1):
-            shift = t * k
-            for r in range(shift, order + 1):
-                counts[r] += size_factor * fewer[r - shift]
+        cap = min(caps[k], order // k)
+        if cap == 1:
+            fewer = counts[:]
+            for r in range(k, order + 1):
+                counts[r] += size_factor * fewer[r - k]
+        elif cap:
+            fewer, window, span = counts[:], [0] * (order + 1), (cap + 1) * k
+            for r in range(k, order + 1):
+                w = window[r] = fewer[r - k] + window[r - k] - (fewer[r - span] if r >= span else 0)
+                counts[r] += size_factor * w
     return counts
 
 

@@ -11,7 +11,7 @@ with c_k in the `bits`-wide slot N - k, so a pass is a few big-int operations.
 Both run through `_expand`, which writes the factors n > N/3 in closed form
 (no monomial of degree <= N takes three of them), then widens the slots as
 the partial product grows (`_top_bits`, `_widen`); `_unpack` reads them back
-a machine word or a `struct` field per slot.
+a byte, a machine word or a `struct` field per slot.
 """
 
 from __future__ import annotations
@@ -95,11 +95,14 @@ def _unpack(x: int, order: int, bits: int) -> list[int]:
     """[c_0, ..., c_order] of a packed series: slot order - k holds c_k.
 
     Bits above the top slot, which only a carry out of a too-narrow slot puts there, are dropped.
-    Slots of up to 8 bytes are read as machine words by `array`, in C, after `_spread` moves those
-    of 3, 5, 6 or 7 bytes into 4- or 8-byte ones; `struct` cuts wider ones apart for `int.from_bytes`.
+    1-byte slots are the bytes themselves. Slots of up to 8 bytes are read as machine words by `array`,
+    in C, after `_spread` moves those of 3, 5, 6 or 7 bytes into 4- or 8-byte ones; `struct` cuts wider
+    ones apart for `int.from_bytes`.
     """
     size, width = bits // 8, (order + 1) * bits
     raw = (x & ((1 << width) - 1)).to_bytes(width // 8, "big")
+    if size == 1:  # each byte is a slot
+        return list(raw)
     if size > 8:  # no machine word holds a slot
         return list(map(int.from_bytes, unpack(f"{size}s" * (order + 1), raw), repeat("big")))
     word = 1 << (size - 1).bit_length()  # 1, 2, 4 or 8 bytes: the smallest word a slot fits
@@ -128,12 +131,24 @@ def pochhammer(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
+def _byte_bits(raw: bytes) -> int:
+    """Bit length of the largest byte in `raw`, 0 if none: one `translate`, then `in` from 8 down."""
+    return next(filter(raw.translate(_BIT_LENGTH).__contains__, range(8, 0, -1)), 0)
+
+
+def _largest(raw: bytes) -> int:
+    """The largest byte in `raw`, 0 if none. Past 64 bytes no byte is boxed, as `max` boxes each:
+    `_byte_bits` gives its bit length, and `in` finds it, searching down from that length's top."""
+    if len(raw) < 64:
+        return max(raw, default=0)
+    return next(filter(raw.__contains__, range((1 << _byte_bits(raw)) - 1, 0, -1)), 0)
+
+
 def _top_bits(raw: bytes, bits: int) -> int:
     """Bit length of the largest `bits`-wide slot in `raw`, off its top nonzero byte column."""
     size = bits // 8
     j = next((j for j in range(size - 1) if raw[j::size].count(0) < len(raw) // size), size - 1)
-    lengths = raw[j::size].translate(_BIT_LENGTH)
-    return 8 * (size - 1 - j) + max(filter(lengths.__contains__, range(9)))  # largest one present
+    return 8 * (size - 1 - j) + _byte_bits(raw[j::size])
 
 
 def _spread(raw: bytes, size: int, wider: int) -> bytearray:
@@ -153,15 +168,17 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
     """[c_0, ..., c_order] of prod (1+q^n)^e[n]; `apply(c, ns, bits)` multiplies in those of ns.
 
     Each e[n], n >= 1, is 0..255 (e[0] is neither read nor refused): a negative one is a division,
-    and the write packs each in a byte. The factors n > order // 3 are written: a monomial of
-    degree <= order takes at most two of them, so their product is 1 + T + (T^2 - T(q^2))/2 with
+    and the write packs each in a byte. e may be any sequence of ints, a list or bytes: it is read
+    into bytes once, in C for bytes. The factors n > order // 3 are written: a monomial of degree
+    <= order takes at most two of them, so their product is 1 + T + (T^2 - T(q^2))/2 with
     T = sum e[n] q^n over them (binomial too: C(e, 2) = (e^2 - e)/2). T is packed into slots that
-    hold max(e) * sum(e) over it, which bounds every slot of T^2, so no slot past the order carries
-    into a kept one, and each slot of T^2 - T(q^2) is even, so one shift halves them all. If no two
-    meet in degree <= order, 1 + T is written in 8-bit slots and nothing is squared. The rest run
-    from n = order // 3 down, in segments [lo, hi), lo = hi // 2, the n < 16 last. `most` bounds
-    every coefficient; a segment's E binomials multiply it by at most their count of monomials of
-    degree <= order. Each factor is >= 0 with constant term 1: no pass exceeds its segment's end.
+    hold max(e) * sum(e) over it (`_largest` gives max(e)), which bounds every slot of T^2, so no
+    slot past the order carries into a kept one, and each slot of T^2 - T(q^2) is even, so one shift
+    halves them all. If no two meet in degree <= order, 1 + T is written in 8-bit slots and nothing
+    is squared. The rest run from n = order // 3 down, in segments [lo, hi), lo = hi // 2, the
+    n < 16 last. `most` bounds every coefficient; a segment's E binomials multiply it by at most
+    their count of monomials of degree <= order. Each factor is >= 0 with constant term 1: no pass
+    exceeds its segment's end.
     When `most` outgrows the slots, they are read back, then widened if the largest value needs it.
     """
     if order < 0:
@@ -177,9 +194,9 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
     rest = top.lstrip(b"\0")  # T from its smallest factor up: n = order + 1 - len(rest)
     pair = rest if rest[:1] > b"\1" else rest[1:].lstrip(b"\0")  # T from the factor n pairs with
     if len(rest) + len(pair) < order + 2:  # those two meet past the order, so no two do
-        bits, most, c = 8, max(max(top, default=0), 1), 1 << order * 8 | int.from_bytes(top, "big")
+        bits, most, c = 8, max(_largest(top), 1), 1 << order * 8 | int.from_bytes(top, "big")
     else:
-        most = max(top) * sum(top)
+        most = _largest(top) * sum(top)
         t, bits = _widen(top, 8, -(-most.bit_length() // 8) * 8)
         u = int.from_bytes(_spread(top, 1, bits // 4), "big")  # T(q^2) in the slots of T^2
         c = (1 << order * bits) + t + ((t * t - u) >> order * bits + 1)

@@ -60,10 +60,12 @@ def verify_binary_identity(m: int, order: int) -> dict:
     """Check 1/(1-q^m) = prod_{k>=0} (1+q^(2^k m)) at the given truncation order."""
     if m < 1:
         raise ValueError("m must be positive")
+    if order < 0:  # before bytearray(order + 1) refuses it in other words
+        raise ValueError("order must be non-negative")
     if order > MAX_ORDER:
         raise ValueError(f"order is limited to <= {MAX_ORDER}")
     start = time.perf_counter()
-    e = [0] * (order + 1)  # one factor (1+q^n) exactly when n = m * 2^k
+    e = bytearray(order + 1)  # one factor (1+q^n) exactly when n = m * 2^k; _expand copies bytes in C
     n = m
     while n <= order:
         e[n] = 1

@@ -6,7 +6,8 @@ genuinely separate path. `capped_tableau` renders the `remark` tableau
 from `partitions`. `eta_exponents` reads the FAMILIES quotients, the
 data under test, and expands no series. `unpack_slots` is the reference
 decoder of the packed kernel's slots, one slot at a time. `parse_bfile_walk`
-is the reference b-file parser, one line at a time.
+is the reference b-file parser, one line at a time. `count_partitions_by_copies`
+is the brute route's recurrence, one pass per part and copy count.
 """
 
 import re
@@ -170,6 +171,22 @@ def eta_exponents(family, n):
     numerator, denominator = FAMILIES[family]
     return (sum(e for k, e in side_eta(numerator).items() if n % k == 0)
             - sum(e for k, e in side_eta(denominator).items() if n % k == 0))
+
+
+def count_partitions_by_copies(caps, size_factor=1):
+    """`families._count_partitions` as one pass over r for each part k and copy count t.
+
+    f_k(r) = f_{k-1}(r) + size_factor * sum_{t=1..caps[k]} f_{k-1}(r - t*k), summed term by term.
+    """
+    order = len(caps) - 1
+    counts = [1] + [0] * order  # partitions into parts < k
+    for k in range(1, order + 1):
+        fewer = counts[:]
+        for t in range(1, min(caps[k], order // k) + 1):
+            shift = t * k
+            for r in range(shift, order + 1):
+                counts[r] += size_factor * fewer[r - shift]
+    return counts
 
 
 def unpack_slots(x, order, bits):

@@ -52,7 +52,7 @@ def skewed_binomial(monkeypatch):
 def dropped_product_factor(monkeypatch):
     """The binary identity's product side loses its factor (1+q^4)."""
     monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
-        e[:4] + [0] + e[5:], order))
+        [*e[:4], 0, *e[5:]], order))
 
 
 class TestTable:

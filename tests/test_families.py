@@ -344,6 +344,15 @@ class TestBruteForce:
             assert (brute_force_count(FamilyId.PD, n)
                     == oracles.count_with(n, oracles.all_odd))
 
+    # The running window sum against the recurrence summed copy by copy, caps 0..5 past
+    # order // k included; a cap of 1 takes its own single pass.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, BRUTE_LIMIT).flatmap(lambda n: st.lists(
+        st.integers(0, 5), min_size=n + 1, max_size=n + 1)), st.integers(1, 3))
+    def test_window_sum_matches_copy_by_copy(self, caps, size_factor):
+        assert (families._count_partitions(caps, size_factor)
+                == oracles.count_partitions_by_copies(caps, size_factor))
+
     def test_tally_disagreement_names_first_differing_n(self, monkeypatch):
         original = families._count_partitions
 

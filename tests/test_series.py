@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import v2partitions
-from v2partitions.series import (TruncatedSeries, _divide, _expand, _shift_add, _top_bits, _unpack, _widen,
+from v2partitions.series import (TruncatedSeries, _divide, _expand, _largest, _shift_add, _top_bits, _unpack, _widen,
                                  binomial_power, mul, pochhammer, product_power, reciprocal)
 
 from oracles import (count_with, distinct_parts, partition_count, pochhammer_factors, product_expand,
@@ -290,6 +290,18 @@ class TestProductPower:
         assert binomial_power(e, order) == expected
 
 
+    # Each expansion reads e through slicing and indexing alone: any sequence of ints
+    # in 0..255 gives the same list, as the binary sweep's bytearray does.
+    @settings(max_examples=100, deadline=None)
+    @given(exponent_lists())
+    def test_every_sequence_type_gives_the_same_expansion(self, case):
+        e, order = case
+        for expand in (product_power, binomial_power):
+            expected = expand(e, order)
+            for kind in (tuple, bytes, bytearray):
+                assert expand(kind(e), order) == expected
+
+
 class TestPackedKernel:
     # c_k sits in slot order - k: 1 + 2q + 3q^2 at order 2 with 8-bit slots is 0x010203.
     def test_slot_layout(self):
@@ -311,6 +323,23 @@ class TestPackedKernel:
             assert _unpack(x, order, bits) == unpack_slots(x, order, bits)
         full = (1 << (order + 1) * bits) - 1  # every slot at its maximum
         assert _unpack(full, order, bits) == [(1 << bits) - 1] * (order + 1)
+
+    # `most` starts from the exact largest exponent, so the widths follow from it alone; a
+    # bound off the bit length (7 for 5) would widen some slots sooner.
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(0, 400), st.integers(0, 255)).flatmap(lambda size: st.lists(
+        st.integers(0, size[1]), min_size=size[0], max_size=size[0]).map(bytes)))
+    def test_largest_is_max(self, raw):
+        assert _largest(raw) == max(raw, default=0)
+
+    # 8-bit slots are the bytes themselves: junk above the top slot included.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 600).flatmap(lambda order: st.tuples(
+        st.just(order), st.binary(min_size=order + 1, max_size=order + 10))))
+    def test_byte_slots_match_reference_decoder(self, case):
+        order, raw = case
+        x = int.from_bytes(raw, "big")
+        assert _unpack(x, order, 8) == unpack_slots(x, order, 8)
 
     # The package runs on Python 3.10, where int.from_bytes and int.to_bytes have no default
     # byte order: each use must pass one, as a second argument or, under map, a second iterable.

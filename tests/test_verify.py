@@ -208,9 +208,11 @@ class TestBinaryIdentity:
     def test_sweep(self):
         assert all(verify_binary_identity(m, 200)["status"] == "PASS" for m in range(1, 51))
 
-    @pytest.mark.parametrize("m,order", [(0, 10), (1, -1)])
+    # A negative order is named as such, not refused by the allocation of the exponents.
+    @pytest.mark.parametrize("m,order", [(0, 10), (1, -1), (1, -2), (1, -10**6)])
     def test_bad_input_rejected(self, m, order):
-        with pytest.raises(ValueError, match="must be positive|must be non-negative"):
+        message = "^m must be positive$" if m < 1 else "^order must be non-negative$"
+        with pytest.raises(ValueError, match=message):
             verify_binary_identity(m, order)
 
     def test_order_beyond_max_order_rejected(self):
@@ -219,7 +221,7 @@ class TestBinaryIdentity:
 
     def test_dropped_product_factor_fails_at_its_exponent(self, monkeypatch):
         monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
-            e[:4] + [0] + e[5:], order))
+            [*e[:4], 0, *e[5:]], order))
         report = verify_binary_identity(1, 16)
         assert report["status"] == "FAIL"
         assert report["first_mismatch"]["n"] == 4
@@ -227,7 +229,7 @@ class TestBinaryIdentity:
     def test_dropped_top_half_factor_fails_at_its_exponent(self, monkeypatch):
         # 256 > 500 // 2: (1+q^256) is written into the top half, not passed.
         monkeypatch.setattr(verify, "product_power", lambda e, order: series.product_power(
-            e[:256] + [0] + e[257:], order))
+            [*e[:256], 0, *e[257:]], order))
         report = verify_binary_identity(1, 500)
         assert report["status"] == "FAIL"
         assert report["first_mismatch"]["n"] == 256
