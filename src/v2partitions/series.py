@@ -24,7 +24,7 @@ from operator import mul as times
 from struct import unpack
 from sys import byteorder
 
-_WORD_TYPECODE = {array(t).itemsize: t for t in "BHILQ"}  # slot bytes -> array typecode
+_WORD_TYPECODE = {array(t).itemsize: t for t in "HILQ"}  # 2-, 4- or 8-byte word -> array typecode
 _BIT_LENGTH = bytes(map(int.bit_length, range(256)))  # byte -> its bit length, for translate
 
 
@@ -95,7 +95,7 @@ def _unpack(x: int, order: int, bits: int) -> list[int]:
     """[c_0, ..., c_order] of a packed series: slot order - k holds c_k.
 
     Bits above the top slot, which only a carry out of a too-narrow slot puts there, are dropped.
-    1-byte slots are the bytes themselves. Slots of up to 8 bytes are read as machine words by `array`,
+    1-byte slots are the bytes themselves. Wider ones of up to 8 bytes are read as machine words by `array`,
     in C, after `_spread` moves those of 3, 5, 6 or 7 bytes into 4- or 8-byte ones; `struct` cuts wider
     ones apart for `int.from_bytes`.
     """
@@ -105,7 +105,7 @@ def _unpack(x: int, order: int, bits: int) -> list[int]:
         return list(raw)
     if size > 8:  # no machine word holds a slot
         return list(map(int.from_bytes, unpack(f"{size}s" * (order + 1), raw), repeat("big")))
-    word = 1 << (size - 1).bit_length()  # 1, 2, 4 or 8 bytes: the smallest word a slot fits
+    word = 1 << (size - 1).bit_length()  # 2, 4 or 8 bytes: the smallest word a slot fits
     words = array(_WORD_TYPECODE[word], raw if word == size else _spread(raw, size, word))
     if byteorder == "little":
         words.byteswap()  # the slots are big-endian

@@ -289,7 +289,6 @@ class TestProductPower:
         assert product_power(e, order) == expected
         assert binomial_power(e, order) == expected
 
-
     # Each expansion reads e through slicing and indexing alone: any sequence of ints
     # in 0..255 gives the same list, as the binary sweep's bytearray does.
     @settings(max_examples=100, deadline=None)
