@@ -147,7 +147,8 @@ def _count_partitions(caps: list[int], size_factor: int = 1) -> list[int]:
     # overlining). Tabulated bottom-up over the largest part k, one pass over r each:
     # f_k(r) = f_{k-1}(r) + size_factor * W_k(r), W_k(r) = sum_{t=1..c} f_{k-1}(r - t*k)
     # with c = min(caps[k], order // k). W_k is a running window sum,
-    # W_k(r) = f_{k-1}(r-k) + W_k(r-k) - f_{k-1}(r-(c+1)k); for c = 1 it is f_{k-1}(r-k).
+    # W_k(r) = f_{k-1}(r-k) + W_k(r-k) - f_{k-1}(r-(c+1)k); for c = 1 it is f_{k-1}(r-k),
+    # one add per r without the window, and every part k > order // 2 has c <= 1.
     order = len(caps) - 1
     counts = [1] + [0] * order  # partitions into parts < k
     for k in range(1, order + 1):
