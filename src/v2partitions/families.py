@@ -17,9 +17,9 @@ import enum
 from itertools import accumulate
 from math import comb, gcd, isqrt
 
-from . import series
+from . import series, valuation
 from .series import binomial_power, pochhammer, product_power
-from .valuation import FamilyId, exponents
+from .valuation import FamilyId
 
 BRUTE_LIMIT = 60  # brute-force enumeration is refused beyond this n
 MAX_ORDER = 10_000  # every route refuses tables beyond this order
@@ -93,12 +93,12 @@ def gf_series(family: FamilyId, order: int) -> list[int]:
 
 def product_series(family: FamilyId, order: int) -> list[int]:
     """Expand prod_{n>=1} (1+q^n)^v(n) with the family's exponent rule."""
-    return list(product_power(exponents(family, order), order))
+    return product_power(valuation.exponents(family, order), order)
 
 
 def binomial_table(family: FamilyId, order: int) -> list[int]:
     """f(0..order) by the binomial DP over the family's exponent rule."""
-    return binomial_power(exponents(family, order), order)
+    return binomial_power(valuation.exponents(family, order), order)
 
 
 def enumerate_capped(n: int, caps: list[int]) -> list[tuple[str, str, int]]:

@@ -1,8 +1,7 @@
-"""The per-family exponent rules v(n), built from 2-adic valuations.
+"""The per-family exponent rules v(n) of prod_{n>=1} (1+q^n)^{v(n)}, built from 2-adic valuations.
 
-Every product representation used in this package has the shape
-prod_{n>=1} (1+q^n)^{v(n)} where v(n) is built from 2-adic valuations;
-this module owns the five family-specific rules.
+_RULES states the five rules once, as data: `exponents` builds a route's whole table
+from it as bytes, in C, and `exponent` reads it at one n of any size.
 """
 
 from __future__ import annotations
@@ -20,34 +19,35 @@ class FamilyId(enum.Enum):
     PE = "pe"    # even parts only
 
 
-# exponent() runs once per n on the product and binomial routes; comparing
-# with module-level names skips an enum attribute lookup (~0.2 us) per test.
-_OVERPARTITION_ODD, _PED, _PD, _POD, _PE = (
-    FamilyId.OVERPARTITION_ODD, FamilyId.PED, FamilyId.PD, FamilyId.POD, FamilyId.PE)
+# family -> (rule at odd n, rule at even n). A rule (k, offset) is v(n) = v2(k n - k // 2) + offset:
+# k = 1 reads v2(n), k = 4 reads v2(4n-2), computed rather than hard-coded to 1 so tests can confirm it.
+_RULES = {
+    FamilyId.OVERPARTITION_ODD: ((4, 1), (4, 0)),
+    FamilyId.PED: ((4, 0), (4, 1)),
+    FamilyId.PD: ((4, 0), (4, 0)),
+    FamilyId.POD: ((4, 0), (1, 0)),
+    FamilyId.PE: ((1, 0), (1, 0)),
+}
+_ADD = bytes(range(256)), bytes(range(1, 256)) + bytes(1)  # translate tables v -> v + offset
 
 
 def exponent(family: FamilyId, n: int) -> int:
-    """Exponent v(n) of (1+q^n) in the product representation of `family`.
-
-    v2(4n-2) is computed honestly (not hard-coded to its simplified value 1)
-    so tests can confirm the simplification independently. v2(m) is the bit
-    trick (m & -m).bit_length() - 1, inline, with no helper call per n.
-    """
+    """Exponent v(n) of (1+q^n) in the product representation of `family`, for any n >= 1."""
     if n < 1:
         raise ValueError("exponent rules are defined for n >= 1 only")
-    odd = n % 2 == 1
-    # pe, and pod at even n, take v2(n); every other rule takes v2(4n-2)
-    m = n if family is _PE or (family is _POD and not odd) else 4 * n - 2
-    v = (m & -m).bit_length() - 1
-    if family is _OVERPARTITION_ODD:
-        return v + (1 if odd else 0)
-    if family is _PED:
-        return v + (0 if odd else 1)
-    if family is _PD or family is _POD or family is _PE:
-        return v
-    raise AssertionError(f"unhandled family {family}")
+    k, offset = _RULES[family][n % 2 == 0]
+    return ((m := k * n - k // 2) & -m).bit_length() - 1 + offset
 
 
-def exponents(family: FamilyId, order: int) -> list[int]:
-    """[0, v(1), ..., v(order)]: the family's exponent rule as one list per table."""
-    return [0] + [exponent(family, n) for n in range(1, order + 1)]
+def exponents(family: FamilyId, order: int) -> bytearray:
+    """[0, v(1), ..., v(order)], each parity class of n one strided slice of v2 over 1..4*order."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    v2, p = bytearray(4 * order + 1), 2
+    while p <= 4 * order:
+        v2[p::p] = bytes([p.bit_length() - 1]) * (4 * order // p)
+        p *= 2
+    e = bytearray(order + 1)
+    for s, (k, offset) in zip((1, 2), _RULES[family]):
+        e[s::2] = v2[k * s - k // 2:k * order + 1:2 * k].translate(_ADD[offset])
+    return e

@@ -10,9 +10,9 @@ from __future__ import annotations
 import time
 from itertools import zip_longest
 
+from . import valuation
 from .families import BRUTE_LIMIT, MAX_ORDER, Route, binomial_table, enumerate_capped, table
 from .series import product_power
-from .valuation import FamilyId, exponents
 
 
 def _first_mismatch(tables: dict[str, list[int]]) -> dict | None:
@@ -44,7 +44,7 @@ def _report(subject: str, order: int, tables: dict[str, list[int]], start: float
     return report
 
 
-def verify_family(family: FamilyId, order: int, include_brute: bool = False) -> dict:
+def verify_family(family: valuation.FamilyId, order: int, include_brute: bool = False) -> dict:
     """Compare GF, PRODUCT and BINOMIAL (optionally BRUTE) tables up to `order`."""
     if include_brute and order > BRUTE_LIMIT:
         raise ValueError(f"brute-force comparison is limited to order <= {BRUTE_LIMIT}")
@@ -76,7 +76,7 @@ def verify_binary_identity(m: int, order: int) -> dict:
     return _report(f"binary-identity m={m}", order, tables, start)
 
 
-def remark_trace(family: FamilyId, n: int) -> list[str]:
+def remark_trace(family: valuation.FamilyId, n: int) -> list[str]:
     """The lines that `remark` prints, ending with "total = N".
 
     One line per capped partition of n with its binomial-product weight, e.g.
@@ -84,7 +84,7 @@ def remark_trace(family: FamilyId, n: int) -> list[str]:
     """
     if n < 1 or n > BRUTE_LIMIT:
         raise ValueError(f"remark tableaux are limited to 1 <= n <= {BRUTE_LIMIT}")
-    partitions = enumerate_capped(n, exponents(family, n))
+    partitions = enumerate_capped(n, valuation.exponents(family, n))
     total = sum(weight for _, _, weight in partitions)
     expected = binomial_table(family, n)[n]
     if total != expected:

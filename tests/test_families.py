@@ -32,7 +32,8 @@ def test_every_exported_name_resolves():
 
 def test_fault_seams_have_one_binding():
     # Fault tests patch these where they are defined; a copy elsewhere would escape them.
-    seams = [series._shift_add, series._widen, series._unpack, series._divide, valuation.exponent]
+    seams = [series._shift_add, series._widen, series._unpack, series._divide, valuation.exponent,
+             valuation.exponents]
     copies = [f"{m.__name__}.{attr}" for m in MODULES for attr, value in vars(m).items()
               if any(value is seam for seam in seams) and value.__module__ != m.__name__]
     assert copies == []
@@ -381,8 +382,8 @@ class TestRouteBoundaries:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_brute_reads_no_exponent_rule_and_no_kernel(self, monkeypatch, family):
         expected = table(family, 60, Route.GF)
-        for module, name in [(valuation, "exponent"), *PACKED_KERNEL, (series, "comb"),
-                             (families, "comb"), (families, "binomial_table")]:
+        for module, name in [(valuation, "exponent"), (valuation, "exponents"), *PACKED_KERNEL,
+                             (series, "comb"), (families, "comb"), (families, "binomial_table")]:
             monkeypatch.setattr(module, name, _crossed)
         with pytest.raises(AssertionError, match="boundary"):
             table(family, 60, Route.PRODUCT)
@@ -392,6 +393,7 @@ class TestRouteBoundaries:
     def test_gf_reads_no_exponent_rule(self, monkeypatch, family):
         expected = table(family, 200, Route.GF)
         monkeypatch.setattr(valuation, "exponent", _crossed)
+        monkeypatch.setattr(valuation, "exponents", _crossed)
         with pytest.raises(AssertionError, match="boundary"):
             table(family, 200, Route.BINOMIAL)
         assert table(family, 200, Route.GF) == expected
@@ -626,10 +628,11 @@ class TestReturnContract:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("N", [0, 1, 60])
     def test_every_route_returns_a_fresh_list_of_ints(self, family, N):
-        # Fault fixtures mutate a returned table, so no two calls may share one.
+        # Fault fixtures mutate a returned table, so no two calls may share one. The product
+        # route returns product_power's TruncatedSeries, a list, as is.
         for route in Route:
             first = table(family, N, route)
-            assert type(first) is list and len(first) == N + 1
+            assert isinstance(first, list) and len(first) == N + 1
             assert all(type(c) is int for c in first)
             first[0] += 1
             second = table(family, N, route)
@@ -641,7 +644,7 @@ class TestReturnContract:
         for route, route_table in [(Route.GF, gf_series), (Route.PRODUCT, product_series),
                                    (Route.BINOMIAL, binomial_table)]:
             got = route_table(family, N)
-            assert type(got) is list
+            assert isinstance(got, list)
             assert got == table(family, N, route)
 
 

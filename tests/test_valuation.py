@@ -1,9 +1,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from v2partitions.valuation import FamilyId, exponent
+from v2partitions.families import MAX_ORDER
+from v2partitions.valuation import FamilyId, exponent, exponents
 
 from oracles import v2_by_division
+
+
+# The rules as the paper states them, with v2 by repeated halving.
+PAPER_RULES = {
+    FamilyId.OVERPARTITION_ODD: lambda n: v2_by_division(4 * n - 2) + n % 2,
+    FamilyId.PED: lambda n: v2_by_division(4 * n - 2) + 1 - n % 2,
+    FamilyId.PD: lambda n: v2_by_division(4 * n - 2),
+    FamilyId.POD: lambda n: v2_by_division(4 * n - 2 if n % 2 else n),
+    FamilyId.PE: lambda n: v2_by_division(n),
+}
 
 
 class TestV2:
@@ -80,13 +91,25 @@ class TestExponentRules:
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_matches_rules_built_from_v2(self, family):
-        # the rules as the paper states them, with v2 by repeated halving
-        v2 = v2_by_division
-        rule = {
-            FamilyId.OVERPARTITION_ODD: lambda n: v2(4 * n - 2) + n % 2,
-            FamilyId.PED: lambda n: v2(4 * n - 2) + 1 - n % 2,
-            FamilyId.PD: lambda n: v2(4 * n - 2),
-            FamilyId.POD: lambda n: v2(4 * n - 2 if n % 2 else n),
-            FamilyId.PE: lambda n: v2(n),
-        }[family]
+        rule = PAPER_RULES[family]
         assert all(exponent(family, n) == rule(n) for n in range(1, 10**4 + 1))
+
+
+class TestExponentTable:
+    # exponents builds each route's table from the rule data in bytes; exponent reads
+    # the same data at one n, so the two must agree wherever a table reaches.
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_table_matches_scalar_rule(self, family):
+        for N in [*range(301), MAX_ORDER]:
+            assert list(exponents(family, N)) == [0] + [exponent(family, n) for n in range(1, N + 1)], N
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_table_matches_paper_rule(self, family):
+        # exponent and exponents share their rule data; this reads the paper's rule instead
+        rule = PAPER_RULES[family]
+        assert list(exponents(family, MAX_ORDER)) == [0] + [rule(n) for n in range(1, MAX_ORDER + 1)]
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_negative_order_rejected(self, family):
+        with pytest.raises(ValueError, match="non-negative"):
+            exponents(family, -1)

@@ -18,6 +18,18 @@ def _cap_widths(monkeypatch, narrow):
     monkeypatch.setattr(series, "_widen", lambda raw, bits, wide: widen(raw, bits, min(wide, narrow)))
 
 
+def _bump_exponent(monkeypatch, n):
+    """Add 1 to v(n) in every exponent table, through the one function that builds them."""
+    exponents = valuation.exponents
+
+    def bumped(family, order):
+        e = exponents(family, order)
+        if n <= order:
+            e[n] += 1
+        return e
+    monkeypatch.setattr(valuation, "exponents", bumped)
+
+
 class TestVerifyFamily:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_passes_at_100(self, family):
@@ -41,9 +53,7 @@ class TestVerifyFamily:
             verify_family(FamilyId.PD, 61, include_brute=True)
 
     def test_broken_exponent_rule_fails_at_first_changed_index(self, monkeypatch):
-        original = valuation.exponent
-        monkeypatch.setattr(valuation, "exponent",
-                            lambda family, n: original(family, n) + (n == 7))
+        _bump_exponent(monkeypatch, 7)
         report = verify_family(FamilyId.PD, 20)
         assert report["status"] == "FAIL"
         assert report["first_mismatch"]["n"] == 7
@@ -51,9 +61,7 @@ class TestVerifyFamily:
     def test_broken_top_half_exponent_fails_at_its_index(self, monkeypatch):
         # n = 300 > 500 // 2: that factor is written into the top half, not passed.
         # product and binomial share that write, so they agree; gf does not.
-        original = valuation.exponent
-        monkeypatch.setattr(valuation, "exponent",
-                            lambda family, n: original(family, n) + (n == 300))
+        _bump_exponent(monkeypatch, 300)
         report = verify_family(FamilyId.PD, 500)
         assert report["status"] == "FAIL"
         values = report["first_mismatch"]["values"]
@@ -63,9 +71,7 @@ class TestVerifyFamily:
     def test_broken_paired_exponent_fails_at_its_index(self, monkeypatch):
         # n = 200 is in (500 // 3, 500 // 2]: its factor is written, and it pairs with
         # others in degree <= 500. The shared write keeps product == binomial; gf differs.
-        original = valuation.exponent
-        monkeypatch.setattr(valuation, "exponent",
-                            lambda family, n: original(family, n) + (n == 200))
+        _bump_exponent(monkeypatch, 200)
         report = verify_family(FamilyId.PD, 500)
         assert report["status"] == "FAIL"
         values = report["first_mismatch"]["values"]
