@@ -14,7 +14,7 @@ performed by the `verify` module.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, gcd, isqrt
 
 from . import series, valuation
@@ -97,8 +97,8 @@ def product_series(family: FamilyId, order: int) -> list[int]:
 
 
 def binomial_table(family: FamilyId, order: int) -> list[int]:
-    """f(0..order) by the binomial DP over the family's exponent rule."""
-    return binomial_power(valuation.exponents(family, order), order)
+    """f(0..order) by the binomial DP over the family's exponent rule, read by `valuation.exponent` at each n."""
+    return binomial_power(b"\0" + bytes(map(valuation.exponent, repeat(family), range(1, order + 1))), order)
 
 
 def enumerate_capped(n: int, caps: list[int]) -> list[tuple[str, str, int]]:

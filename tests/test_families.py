@@ -399,6 +399,17 @@ class TestRouteBoundaries:
         assert table(family, 200, Route.GF) == expected
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_product_reads_the_table_and_binomial_the_rule_at_each_n(self, monkeypatch, family):
+        # The two routes read the rule two ways, so product == binomial checks one by the other.
+        expected, calls = table(family, 50, Route.GF), []
+        exponent = valuation.exponent
+        monkeypatch.setattr(valuation, "exponent", lambda f, n: calls.append(n) or exponent(f, n))
+        assert table(family, 50, Route.PRODUCT) == expected and calls == []
+        assert table(family, 50, Route.BINOMIAL) == expected and calls == list(range(1, 51))
+        monkeypatch.setattr(valuation, "exponents", _crossed)
+        assert table(family, 50, Route.BINOMIAL) == expected
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gf_calls_no_kernel_and_no_mul(self, monkeypatch, family):
         expected = table(family, 200, Route.GF)
         for module, name in [*PACKED_KERNEL, (series, "mul")]:

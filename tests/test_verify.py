@@ -19,14 +19,15 @@ def _cap_widths(monkeypatch, narrow):
 
 
 def _bump_exponent(monkeypatch, n):
-    """Add 1 to v(n) in every exponent table, through the one function that builds them."""
-    exponents = valuation.exponents
+    """Add 1 to v(n) in both readings of the rule: the tables `exponents` builds and `exponent` at n."""
+    exponent, exponents = valuation.exponent, valuation.exponents
 
     def bumped(family, order):
         e = exponents(family, order)
         e[n] += 1
         return e
     monkeypatch.setattr(valuation, "exponents", bumped)
+    monkeypatch.setattr(valuation, "exponent", lambda family, m: exponent(family, m) + (m == n))
 
 
 class TestVerifyFamily:
