@@ -54,11 +54,12 @@ def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
     Recurrence r_k = c_k - sum_{i=1..k} a_i r_{k-i}, visiting only the nonzero
     a_i, so dividing by a sparse series costs O(nnz(a) * order).
 
-    Each nonzero a_i gets a cursor, a list iterator over r started when k
-    reaches i and filed under a_i. Every step appends r_k and advances each
-    cursor once, so at step k the cursor of term i yields r[k-i]: it reads
-    below len(r) and never runs dry. Summing each coefficient's cursors with
-    `map(next, ...)` runs the inner loop in C.
+    Each distinct nonzero value v among the a_i keeps one list of v*r_j, r itself for v = 1: memory is
+    O(order * values), and each gf divisor has two values (+-1 or +-2), so at most two extra lists.
+    Term i gets a cursor, a list iterator over its value's list started at step i. Every step appends
+    to each list and advances each cursor once, so at step k term i's cursor yields a_i*r[k-i], below
+    the list's end. A step is one `sum(map(next, cursors))`, in C; the steps run in runs between
+    consecutive term starts, so no step looks a start up.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -66,15 +67,18 @@ def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
         raise ValueError("input must carry coefficients up to the requested order")
     if a[0] != 1:
         raise ValueError("reciprocal requires constant term 1")
-    starts = {i: ai for i, ai in enumerate(a[1:order + 1], start=1) if ai}
-    cursors: dict[int, list] = {}  # a_i -> cursors of the terms with that coefficient
-    r = [c[0]]
-    for k, ck in enumerate(c[1:order + 1], start=1):
-        if k in starts:
-            cursors.setdefault(starts[k], []).append(iter(r))
-        for ai, its in cursors.items():
-            ck -= ai * sum(map(next, its))
-        r.append(ck)
+    starts = [i for i, ai in enumerate(a[1:order + 1], start=1) if ai]
+    r, cursors = [c[0]], []
+    multiples = {v: r if v == 1 else [v * c[0]] for v in {a[i] for i in starts}}  # v -> v*r_0..v*r_(k-1)
+    appends = [(v, m.append) for v, m in multiples.items() if v != 1]
+    for lo, hi in zip([1, *starts], [*starts, order + 1]):
+        for ck in c[lo:hi]:
+            ck -= sum(map(next, cursors))
+            r.append(ck)
+            for v, append in appends:
+                append(v * ck)
+        if hi <= order:  # term hi starts at step hi
+            cursors.append(iter(multiples[a[hi]]))
     return r
 
 
