@@ -58,8 +58,8 @@ def _divide(c: Sequence[int], a: Sequence[int], order: int) -> list[int]:
     O(order * values), and each gf divisor has two values (+-1 or +-2), so at most two extra lists.
     Term i gets a cursor, a list iterator over its value's list started at step i. Every step appends
     to each list and advances each cursor once, so at step k term i's cursor yields a_i*r[k-i], below
-    the list's end. A step is one `sum(map(next, cursors))`, in C; the steps run in runs between
-    consecutive term starts, so no step looks a start up.
+    the list's end. A step is one `sum(map(next, cursors))`, in C; the steps are walked in runs
+    between consecutive term starts, so no step looks a start up.
     """
     if order < 0:
         raise ValueError("order must be non-negative")

@@ -153,6 +153,18 @@ class TestReciprocal:
         assert mul(a, _divide(c, a, order), order) == c
         assert mul(a, reciprocal(a, order), order) == series_one(order)
 
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(1, n), st.sampled_from([2, -2, 3])), max_size=12),
+        st.sampled_from([2, -2, 3]), st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1))))
+    def test_division_by_repeated_nonunit_coefficients(self, case):
+        # terms sharing a value share one list of its multiples; one term starts at the order, one past it
+        order, terms, last, c = case
+        a = [1] + [0] * (order + 1)
+        for i, ai in terms:
+            a[i] = ai
+        a[order] = a[order + 1] = last
+        assert mul(a, _divide(c, a, order), order) == c
+
     @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), coefficients(n + 1))),
            st.integers(-10**20, 10**20).filter(lambda a0: a0 != 1))
     def test_division_requires_unit_constant_term(self, case, a0):
