@@ -47,8 +47,10 @@ def parse_bfile(path: str) -> list[tuple[int, int]]:
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):  # a FIFO blocks in open(), /dev/zero never ends
             raise ValueError(f"cannot read {path}: not a regular file")
-        with open(path, "rb") as fh:
-            data = fh.read(BFILE_MAX_BYTES + 1)
+        with open(path, "rb") as fh:  # read what fstat reports and one byte more; a /proc file reports 0
+            data = fh.read(ask := min(os.fstat(fh.fileno()).st_size, BFILE_MAX_BYTES) + 1)
+            if len(data) == ask:  # more than reported: read on, up to the bound
+                data += fh.read(BFILE_MAX_BYTES + 1 - ask)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     if len(data) > BFILE_MAX_BYTES:

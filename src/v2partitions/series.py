@@ -9,22 +9,27 @@ and `reciprocal` return a `TruncatedSeries`, a list whose `coeffs` is itself.
 `product_power` and `binomial_power` run packed: c_0..c_N become one int
 with c_k in the `bits`-wide slot N - k, so a pass is a few big-int operations.
 Both run through `_expand`, which writes the factors n > N/3 in closed form
-(no monomial of degree <= N takes three of them), then widens the slots as
-the partial product grows (`_top_bits`, `_widen`); `_unpack` reads them back
-a byte, a machine word or a `struct` field per slot.
+(no monomial of degree <= N takes three of them), then runs the rest on a
+budget of doublings: a factor (1+q^n)^e at most doubles a coefficient e times.
+When the budget runs out, one AND certifies that every slot's top byte is
+clear (`_certified`), which buys 8 more; only when it fails are the slots
+read back (`_top_bits`) and widened (`_widen`). `_unpack` reads them back a
+byte, a machine word or a `struct` field per slot.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import comb
 from operator import mul as times
 from struct import unpack
 from sys import byteorder
 
 _WORD_TYPECODE = {array(t).itemsize: t for t in "HILQ"}  # 2-, 4- or 8-byte word -> array typecode
+_ONE_SHOT_BITS = 3072  # below this size, widened to hold every factor left, a packed int is widened once for all
 _BIT_LENGTH = bytes(map(int.bit_length, range(256)))  # byte -> its bit length, for translate
 
 
@@ -164,6 +169,16 @@ def _spread(raw: bytes, size: int, wider: int) -> bytearray:
     return out
 
 
+def _certified(c: int, mask: int) -> bool:
+    """Whether `c` has no bit under `mask`, the top byte of every slot: then each value is below 2^(bits - 8)."""
+    return not c & mask
+
+
+def _top_byte_mask(order: int, bits: int) -> int:
+    """The mask of the top byte of each of the order + 1 `bits`-wide slots."""
+    return int.from_bytes((b"\xff" + bytes(bits // 8 - 1)) * (order + 1), "big")
+
+
 def _widen(raw: bytes, bits: int, wide: int) -> tuple[int, int]:
     """`raw`'s slots moved into `wide`-bit ones, and the width `_expand` uses."""
     return int.from_bytes(_spread(raw, bits // 8, wide // 8), "big"), wide
@@ -180,11 +195,17 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
     hold max(e) * sum(e) over it (`_largest` gives max(e)), which bounds every slot of T^2, so no
     slot past the order carries into a kept one, and each slot of T^2 - T(q^2) is even, so one shift
     halves them all. If no two meet in degree <= order, 1 + T is written in 8-bit slots and nothing
-    is squared. The rest run from n = order // 3 down, in segments [lo, hi), lo = hi // 2, the
-    n < 16 last. `most` bounds every coefficient; a segment's E binomials multiply it by at most
-    their count of monomials of degree <= order. Each factor is >= 0 with constant term 1: no pass
-    exceeds its segment's end.
-    When `most` outgrows the slots, they are read back, then widened if the largest value needs it.
+    is squared. The rest run from n = order // 3 down, on a budget: `room` counts the doublings every
+    slot can still take, and (1+q^n)^e at most doubles a coefficient e times (binomial's weights sum
+    to at most 2^e). The factors that fit are applied in one `apply`; before one that does not, the
+    budget is renewed. In slots wider than 8 bits a clear top byte in every slot (`_certified`, one
+    AND) gives 8 doublings; when that fails, or a factor wants more than 8, or the slots are 8 bits
+    wide, they are read back (`_top_bits`), and widened if the largest value leaves too little room:
+    to hold the doublings wanted and one byte more, up to all that are left. A packed int shorter
+    than `_ONE_SHOT_BITS` with room for all is instead read back once, before its first factor, and
+    widened for all of them, as the extra certificates cost it more than its narrower passes save.
+    Each factor is >= 0 with constant term 1, so no value ever shrinks: a width that holds the
+    product holds every partial product.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -205,18 +226,27 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
         t, bits = _widen(top, 8, -(-most.bit_length() // 8) * 8)
         u = int.from_bytes(_spread(top, 1, bits // 4), "big")  # T(q^2) in the slots of T^2
         c = (1 << order * bits) + t + ((t * t - u) >> order * bits + 1)
-    while hi > 1:
-        lo = max(hi // 2, 16) if hi > 16 else 1
-        total, j = sum(e[lo:hi]), order // lo  # such a monomial has at most j of the E factors
-        growth = 1 << total if j >= total else sum(map(comb, repeat(total), range(j + 1)))
-        if (most * growth).bit_length() > bits:  # read back; the mask drops a top slot's carry
-            raw = (c & (1 << (order + 1) * bits) - 1).to_bytes((order + 1) * bits // 8, "big")
-            most = (1 << _top_bits(raw, bits)) - 1  # >= 1: c_0 = 1 sits in the top slot
-            if (wide := -(-(most * growth).bit_length() // 8) * 8) > bits:
-                c, bits = _widen(raw, bits, wide)
-        most *= growth
-        c = apply(c, compress(range(hi - 1, lo - 1, -1), e[hi - 1:lo - 1:-1]), bits) if total else c
-        hi = lo
+    room, mask, total, i = bits - most.bit_length(), 0, sum(e[1:hi]), 0  # factors hi - 1 - i on down are left
+    if total > room:
+        short = (order + 1) * (bits - room + total) < _ONE_SHOT_BITS
+        spent = [0] if short else [0, *accumulate(e[hi - 1:0:-1])]  # the doublings before each factor
+        while total - spent[i] > room:
+            j = i if short else bisect_right(spent, spent[i] + room) - 1  # factors up to j - 1 fit; j does not
+            if j > i:
+                c = apply(c, compress(range(hi - 1 - i, hi - 1 - j, -1), e[hi - 1 - i:hi - 1 - j:-1]), bits)
+            left, i = total - spent[j], j
+            want = left if short else max(e[hi - 1 - j], min(left, 8))
+            if bits > 8 >= want and _certified(c, mask := mask or _top_byte_mask(order, bits)):
+                room = 8
+            else:  # read back; the mask drops a top slot's carry
+                raw = (c & (1 << (order + 1) * bits) - 1).to_bytes((order + 1) * bits // 8, "big")
+                used = _top_bits(raw, bits)
+                room = bits - used
+                if want > room:
+                    wide = -(-(used + min(left, want + 8)) // 8) * 8
+                    (c, bits), room, mask = _widen(raw, bits, wide), wide - used, 0
+    if total:
+        c = apply(c, compress(range(hi - 1 - i, 0, -1), e[hi - 1 - i:0:-1]), bits)
     return _unpack(c, order, bits)
 
 

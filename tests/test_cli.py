@@ -500,6 +500,21 @@ class TestCompare:
         code, out, err = run(capsys, "compare", "--family", "pe", "--bfile", str(f))
         assert (code, out, err) == (2, "", f"error: cannot read {f}: larger than 8 bytes\n")
 
+    # A /proc file is regular but reports size 0, so the read goes on past what fstat
+    # says: its first line is read and refused, and the byte cap still holds.
+    def test_file_longer_than_its_reported_size_is_read_whole(self, monkeypatch):
+        path = Path("/proc/self/status")
+        if not path.exists():
+            pytest.skip(f"no {path} here")
+        assert path.stat().st_size == 0
+        name = path.read_text().splitlines()[0]  # "Name:\t" and this process's command name
+        with pytest.raises(ValueError) as raised:
+            parse_bfile(str(path))
+        assert str(raised.value) == f"{path}: line 1: non-integer field in {name!r}"
+        monkeypatch.setattr(cli, "BFILE_MAX_BYTES", 8)
+        with pytest.raises(ValueError, match=f"^cannot read {path}: larger than 8 bytes$"):
+            parse_bfile(str(path))
+
     def test_indices_beyond_brute_policy_skipped(self, capsys, tmp_path):
         f = tmp_path / "b.txt"
         f.write_text("0 1\n100 0\n")

@@ -32,8 +32,8 @@ def test_every_exported_name_resolves():
 
 def test_fault_seams_have_one_binding():
     # Fault tests patch these where they are defined; a copy elsewhere would escape them.
-    seams = [series._shift_add, series._widen, series._unpack, series._divide, valuation.exponent,
-             valuation.exponents]
+    seams = [series._shift_add, series._widen, series._certified, series._unpack, series._divide,
+             valuation.exponent, valuation.exponents]
     copies = [f"{m.__name__}.{attr}" for m in MODULES for attr, value in vars(m).items()
               if any(value is seam for seam in seams) and value.__module__ != m.__name__]
     assert copies == []
@@ -621,6 +621,15 @@ class TestSlotWidths:
         for N in [*range(61), 500, 2000, 4000, 10_000]:
             need = max(gf_series(family, N)).bit_length()
             assert _final_width(monkeypatch, series.product_power, valuation.exponents(family, N), N) >= need, N
+
+    # The budget of doublings keeps the slots near what the values need: overpartition-odd's
+    # first pass at N = 500 needs 24 bits, and a bound that took every monomial of degree <= N
+    # at the largest coefficient ran it in 48.
+    @pytest.mark.parametrize("expand", [series.product_power, series.binomial_power], ids=lambda f: f.__name__)
+    def test_first_pass_at_500_runs_in_at_most_32_bits(self, monkeypatch, expand):
+        passes = _record_widths(monkeypatch)
+        expand(valuation.exponents(FamilyId.OVERPARTITION_ODD, 500), 500)
+        assert passes[0][1] <= 32
 
     @pytest.mark.parametrize("m", range(1, 51))
     def test_binary_identity_stays_at_8_bits(self, monkeypatch, m):

@@ -1,5 +1,6 @@
 import ast
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,23 @@ def exponent_lists(draw):
     if order and draw(st.booleans()):
         e[draw(st.integers(order // 3 + 1, order))] = draw(st.integers(200, 255))
     return e, order
+
+
+@st.composite
+def exponent_runs(draw):
+    """(e, order), order <= 300: zeros but for up to three runs of exponents 1 to a cap of 1 to 255."""
+    order = draw(st.one_of(st.integers(0, 60), st.integers(150, 300)))
+    e = [0] * (order + 1)
+    for _ in range(draw(st.integers(1, 3)) if order else 0):
+        start, cap = draw(st.integers(1, order)), draw(st.sampled_from([1, 2, 3, 13, 255]))
+        size = draw(st.integers(1, order + 1 - start))
+        e[start:start + size] = draw(st.lists(st.integers(1, cap), min_size=size, max_size=size))
+    return e, order
+
+
+def binomial_factors(e, order):
+    """(1+q^n)^e[n] for each n <= order, as the dicts `product_expand` multiplies."""
+    return [{n * t: comb(e[n], t) for t in range(min(e[n], order // n) + 1)} for n in range(1, order + 1) if e[n]]
 
 
 def boundary_case(order, big=False):
@@ -298,6 +316,19 @@ class TestProductPower:
         e, order = case
         factors = [{0: 1, n: 1} for n in range(1, order + 1) for _ in range(e[n])]
         expected = product_expand(factors, order)
+        assert product_power(e, order) == expected
+        assert binomial_power(e, order) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(exponent_runs())
+    # The examples pin each way `_expand` renews its budget of doublings.
+    @example(([0] + [255] * 300, 300))  # each factor wants more than 8: read back, widened
+    @example(([0] + [2] * 100 + [0] * 200, 300))  # 8-bit slots read back; certificates pass and fail
+    @example(([0] + [3] * 40, 40))  # a short packed int: one read-back, one widening for all
+    @example(sparse_case(500, {1 << k: 1 for k in range(9)}))  # 8-bit slots read back, not widened
+    def test_both_expansions_match_factor_expansion_on_long_runs(self, case):
+        e, order = case
+        expected = product_expand(binomial_factors(e, order), order)
         assert product_power(e, order) == expected
         assert binomial_power(e, order) == expected
 

@@ -152,6 +152,23 @@ class TestVerifyFamily:
         assert report["first_mismatch"]["n"] == n - 1
         assert values["gf"] == str(gf[n - 1]) != values["product"] == values["binomial"]
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_certificate_that_always_passes_fails_against_gf(self, monkeypatch, family):
+        # A clear top byte in every slot certifies 8 more doublings. If the certificate
+        # always passes, the slots never widen past their first width above 8 bits, and
+        # the first coefficient n that outgrows it carries into the slot of q^(n-1).
+        order, widths, unpack = 500, [], series._unpack
+        monkeypatch.setattr(series, "_certified", lambda c, mask: True)
+        monkeypatch.setattr(series, "_unpack", lambda x, order, bits: widths.append(bits) or unpack(x, order, bits))
+        gf = table(family, order, Route.GF)
+        report = verify_family(family, order)
+        assert len(set(widths)) == 1 and widths[0] > 8  # product's and binomial's
+        n = next(n for n, c in enumerate(gf) if c.bit_length() > widths[0])
+        assert report["status"] == "FAIL"
+        values = report["first_mismatch"]["values"]
+        assert report["first_mismatch"]["n"] == n - 1
+        assert values["gf"] == str(gf[n - 1]) != values["product"] == values["binomial"]
+
     def test_gf_sign_flip_fails_at_first_changed_index(self, monkeypatch):
         # psi(q) = f2^2/f1 = (q^2;q^2)/(q;q^2) in place of f4/f1 = (-q^2;q^2)/(q;q^2):
         # the q^2 coefficient of ped's gf flips.
