@@ -170,7 +170,7 @@ def _spread(raw: bytes, size: int, wider: int) -> bytearray:
 
 
 def _certified(c: int, mask: int) -> bool:
-    """Whether `c` has no bit under `mask`, the top byte of every slot: then each value is below 2^(bits - 8)."""
+    """Whether `c` has no bit under `mask`, each slot's top byte: then in w-bit slots every value is below 2^(w - 8)."""
     return not c & mask
 
 
@@ -229,7 +229,7 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
     room, mask, total, i = bits - most.bit_length(), 0, sum(e[1:hi]), 0  # factors hi - 1 - i on down are left
     if total > room:
         short = (order + 1) * (bits - room + total) < _ONE_SHOT_BITS
-        spent = [0] if short else [0, *accumulate(e[hi - 1:0:-1])]  # the doublings before each factor
+        spent = [0] if short else [0, *accumulate(e[hi - 1:0:-1])]  # doublings before each factor; short reads [0]
         while total - spent[i] > room:
             j = i if short else bisect_right(spent, spent[i] + room) - 1  # factors up to j - 1 fit; j does not
             if j > i:
@@ -245,8 +245,7 @@ def _expand(e: Sequence[int], order: int, apply: Callable[..., int]) -> list[int
                 if want > room:
                     wide = -(-(used + min(left, want + 8)) // 8) * 8
                     (c, bits), room, mask = _widen(raw, bits, wide), wide - used, 0
-    if total:
-        c = apply(c, compress(range(hi - 1 - i, 0, -1), e[hi - 1 - i:0:-1]), bits)
+    c = apply(c, compress(range(hi - 1 - i, 0, -1), e[hi - 1 - i:0:-1]), bits) if total else c
     return _unpack(c, order, bits)
 
 

@@ -631,6 +631,21 @@ class TestSlotWidths:
         expand(valuation.exponents(FamilyId.OVERPARTITION_ODD, 500), 500)
         assert passes[0][1] <= 32
 
+    # A certificate must test the top byte of the slots c has now, not of those it had before
+    # a widening. c_0 = 1 sits alone in the top slot, so c's bit length gives the width.
+    @pytest.mark.parametrize("expand", [series.product_power, series.binomial_power], ids=lambda f: f.__name__)
+    def test_every_certificate_masks_the_current_slots(self, monkeypatch, expand):
+        order, masks, certified = 500, [], series._certified
+
+        def checked(c, mask):
+            masks.append(mask == series._top_byte_mask(order, (c.bit_length() - 1) // order))
+            return certified(c, mask)
+
+        monkeypatch.setattr(series, "_certified", checked)
+        for family in ALL_FAMILIES:
+            expand(valuation.exponents(family, order), order)
+        assert masks and all(masks)
+
     @pytest.mark.parametrize("m", range(1, 51))
     def test_binary_identity_stays_at_8_bits(self, monkeypatch, m):
         # The product side of the binary identity is 1/(1-q^m): every value is 0 or 1.
